@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json trace fuzz check
+.PHONY: build test race vet bench bench-json trace fuzz perfbench check
 
 build:
 	$(GO) build ./...
@@ -62,4 +62,10 @@ trace:
 	$(GO) run ./cmd/j2kenc -dial 512 -workers 4 -out examples/dial.j2c -trace examples/trace-native.json -report
 	$(GO) run ./cmd/cellbench -scale 8 -trace examples/trace-sim.json
 
-check: build vet test race
+# perfbench is a separate module built against this tree, so vetting
+# and testing it here makes a change to an internal symbol it uses fail
+# at check time rather than at the next benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+check: build vet test race perfbench

@@ -24,13 +24,16 @@ import (
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
-	Pkg        string  `json:"pkg,omitempty"`
-	Name       string  `json:"name"`
-	Iterations int     `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	MBPerSec   float64 `json:"mb_per_sec,omitempty"`
-	BytesPerOp int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64  `json:"allocs_per_op,omitempty"`
+	Pkg         string  `json:"pkg,omitempty"`
+	Name        string  `json:"name"`
+	Iterations  int     `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
+	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds every other `value unit` column, keyed by unit —
+	// the b.ReportMetric outputs such as goroutine-hwm or model-ms.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Run is one benchmark invocation: its environment plus results.
@@ -104,6 +107,16 @@ func parseRun(path string) (*Run, error) {
 				b.BytesPerOp, _ = strconv.ParseInt(strings.TrimSuffix(field, " B/op"), 10, 64)
 			case strings.HasSuffix(field, " allocs/op"):
 				b.AllocsPerOp, _ = strconv.ParseInt(strings.TrimSuffix(field, " allocs/op"), 10, 64)
+			default:
+				val, unit, ok := strings.Cut(field, " ")
+				v, err := strconv.ParseFloat(val, 64)
+				if !ok || err != nil {
+					continue
+				}
+				if b.Metrics == nil {
+					b.Metrics = map[string]float64{}
+				}
+				b.Metrics[unit] = v
 			}
 		}
 		run.Benchmarks = append(run.Benchmarks, b)

@@ -45,6 +45,33 @@ func TestParseRun(t *testing.T) {
 	}
 }
 
+// mixedSample is a row with a custom b.ReportMetric column between the
+// standard ones (from bench/baseline_pr9.txt).
+const mixedSample = "pkg: j2kcell\n" +
+	"BenchmarkMixedConcurrency/shared/c-1                      \t      20\t  64367319 ns/op\t   6.87 MB/s\t         6.000 goroutine-hwm\t 2000098 B/op\t    3056 allocs/op\n"
+
+func TestParseRunKeepsCustomMetrics(t *testing.T) {
+	run, err := parseRun(writeSample(t, mixedSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Benchmarks) != 1 {
+		t.Fatalf("parsed %d benchmarks", len(run.Benchmarks))
+	}
+	b := run.Benchmarks[0]
+	if b.Name != "BenchmarkMixedConcurrency/shared/c-1" || b.Iterations != 20 || b.NsPerOp != 64367319 ||
+		b.MBPerSec != 6.87 || b.BytesPerOp != 2000098 || b.AllocsPerOp != 3056 {
+		t.Fatalf("standard metrics: %+v", b)
+	}
+	if len(b.Metrics) != 1 || b.Metrics["goroutine-hwm"] != 6 {
+		t.Fatalf("custom metrics: %v", b.Metrics)
+	}
+	// The standard columns stay out of the map.
+	if rb, _ := parseRun(writeSample(t, sample)); rb.Benchmarks[0].Metrics != nil {
+		t.Fatalf("standard-only row grew metrics: %v", rb.Benchmarks[0].Metrics)
+	}
+}
+
 func TestLoadSetsToleratesMissingBaseline(t *testing.T) {
 	cur := writeSample(t, sample)
 	sets, err := loadSets([]string{

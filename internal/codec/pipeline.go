@@ -565,18 +565,6 @@ func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*im
 // quantization, Tier-1 — spread across `workers` goroutines, then the
 // shared sequential Finish (rate control, Tier-2, framing). The output
 // is byte-identical to Encode for every worker count. Tiled streams
-// warmGains precomputes the synthesis-gain table the encode will need
-// on the coordinator goroutine. Left lazy, the measurement fires under
-// gainMu inside whichever worker touches it first, stalling the whole
-// pool for its duration — a serialization the stage report surfaced.
-func warmGains(opt Options, rec *obs.Recorder) {
-	if opt.Lossless {
-		dwt.WarmGainsObs(dwt.W53, opt.Levels, rec)
-	} else {
-		dwt.WarmGainsObs(dwt.W97, opt.Levels, rec)
-	}
-}
-
 // parallelize across tiles instead (EncodeTiled).
 func EncodeParallel(img *imgmodel.Image, opt Options, workers int) (*Result, error) {
 	return EncodeParallelContext(context.Background(), img, opt, workers)
@@ -651,7 +639,6 @@ func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options
 	total := ln.Begin(obs.StageEncode, 0, 0)
 	defer ln.Release()
 	defer total.End()
-	warmGains(opt, rec)
 	_, jobs := PlanBlocks(img.W, img.H, len(img.Comps), opt)
 	// Rate-constrained encodes build each block's R-D ladder and convex
 	// hull inside its Tier-1 job, leaving only the λ search sequential

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"j2kcell/internal/codestream"
 	"j2kcell/internal/simd"
 	"j2kcell/internal/workload"
 )
@@ -375,34 +376,144 @@ func TestBandGainsSane(t *testing.T) {
 	}
 }
 
-// TestGainsSeparableMatchesPlane pins the deep-table fallback: the
-// separable 1-D construction must reproduce the plane measurement
-// (they compute the same norms; only roundoff may differ).
-func TestGainsSeparableMatchesPlane(t *testing.T) {
+// TestGainsMatchPlane pins the closed form against the direct
+// measurement it replaced: a unit coefficient in the middle of each band
+// of a plane large enough to keep the deepest band's basis interior,
+// inverted by the linearized float64 transform (only roundoff may
+// differ).
+func TestGainsMatchPlane(t *testing.T) {
 	for _, f := range []Filter{W53, W97} {
-		for _, lv := range []int{1, 3, 5} {
+		for lv := 1; lv <= 6; lv++ {
 			plane := computeGains2D(f, lv)
-			sep := computeGainsSep(f, lv)
-			for _, o := range []Orient{LL, HL, LH, HH} {
-				for l := 0; l <= lv; l++ {
-					a, b := plane[o][l], sep[o][l]
-					if a == 0 && b == 0 {
-						continue
-					}
-					if math.Abs(a-b) > 1e-9*math.Abs(a) {
-						t.Errorf("filter %d lv %d band %v/%d: plane %v vs separable %v", f, lv, o, l, a, b)
-					}
+			for _, b := range Layout(32<<lv, 32<<lv, lv) {
+				want, got := plane[b.Orient][b.Level], BandGain(f, lv, b.Orient, b.Level)
+				if math.Abs(got-want) > 1e-12*want {
+					t.Errorf("filter %d lv %d band %v/%d: closed form %v vs plane %v", f, lv, b.Orient, b.Level, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestDeepGainTablesAreCheap pins the robustness property that made the
-// fallback necessary: a hostile COD segment may claim up to 32
-// decomposition levels, and building that table must stay millisecond-
-// scale and finite (the plane measurement would need a multi-gigabyte
-// allocation by level 10).
+// TestGainTableCoversEveryLevel pins the table's reach: every gain of
+// both filters up to maxGainLevels is finite and positive, and no
+// codestream the default limits admit can be deeper than the table.
+func TestGainTableCoversEveryLevel(t *testing.T) {
+	if ml := codestream.DefaultLimits().MaxLevels; ml > maxGainLevels {
+		t.Fatalf("default limits admit %d levels, gain table covers %d", ml, maxGainLevels)
+	}
+	for _, f := range []Filter{W53, W97} {
+		for l := 0; l <= maxGainLevels; l++ {
+			orients := []Orient{LL, HL, LH, HH}
+			if l == 0 {
+				orients = orients[:1]
+			}
+			for _, o := range orients {
+				if g := BandGain(f, maxGainLevels, o, l); !(g > 0) || math.IsInf(g, 0) {
+					t.Errorf("filter %d band %v/%d: bad gain %v", f, o, l, g)
+				}
+			}
+		}
+	}
+}
+
+// TestBandGainDoesNotAllocate pins that a gain lookup stays a plain
+// table read that allocates nothing.
+func TestBandGainDoesNotAllocate(t *testing.T) {
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		for l := 1; l <= 5; l++ {
+			sink += BandGain(W53, 5, HL, l) + BandGain(W97, 5, HH, l)
+		}
+		sink += BandGain(W97, 5, LL, 5)
+	}); n != 0 {
+		t.Fatalf("BandGain allocates %v times per run", n)
+	}
+	_ = sink
+}
+
+// computeGains2D measures norms on a plane just large enough that the
+// deepest band still has an interior coefficient.
+func computeGains2D(f Filter, levels int) map[Orient][]float64 {
+	n := 32 << levels
+	out := map[Orient][]float64{
+		LL: make([]float64, levels+1),
+		HL: make([]float64, levels+1),
+		LH: make([]float64, levels+1),
+		HH: make([]float64, levels+1),
+	}
+	data := make([]float64, n*n)
+	measure := func(x0, y0, w, h int) float64 {
+		for i := range data {
+			data[i] = 0
+		}
+		data[(y0+h/2)*n+(x0+w/2)] = 1
+		inverseLinear(f, data, n, n, n, levels)
+		var ss float64
+		for _, v := range data {
+			ss += v * v
+		}
+		return math.Sqrt(ss)
+	}
+	for _, b := range Layout(n, n, levels) {
+		out[b.Orient][b.Level] = measure(b.X0, b.Y0, b.W, b.H)
+	}
+	return out
+}
+
+// inverseLinear runs a float64 inverse transform without integer
+// rounding — the linear system whose basis norms we want. All-zero lines
+// stay zero under a linear inverse, so they are skipped: the impulse
+// planes above are almost entirely zero.
+func inverseLinear(f Filter, data []float64, w, h, stride, levels int) {
+	maxd := w
+	if h > maxd {
+		maxd = h
+	}
+	tmp := make([]float64, maxd)
+	col := make([]float64, maxd)
+	for l := levels - 1; l >= 0; l-- {
+		lw, lh := levelDim(w, l), levelDim(h, l)
+		if lw <= 1 && lh <= 1 {
+			continue
+		}
+		if lw > 1 {
+			for r := 0; r < lh; r++ {
+				if row := data[r*stride : r*stride+lw]; !allZero(row) {
+					invLine64(f, row, tmp)
+				}
+			}
+		}
+		if lh > 1 {
+			for c := 0; c < lw; c++ {
+				for r := 0; r < lh; r++ {
+					col[r] = data[r*stride+c]
+				}
+				if allZero(col[:lh]) {
+					continue
+				}
+				invLine64(f, col[:lh], tmp)
+				for r := 0; r < lh; r++ {
+					data[r*stride+c] = col[r]
+				}
+			}
+		}
+	}
+}
+
+func allZero(x []float64) bool {
+	for _, v := range x {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDeepGainTablesAreCheap pins the robustness property a hostile COD
+// segment tests: it may claim up to 32 decomposition levels, and every
+// gain that deep must stay finite and cheap to reach (a plane
+// measurement would need a multi-gigabyte allocation by level 10).
 func TestDeepGainTablesAreCheap(t *testing.T) {
 	start := time.Now()
 	for _, f := range []Filter{W53, W97} {
@@ -421,7 +532,7 @@ func TestDeepGainTablesAreCheap(t *testing.T) {
 		}
 	}
 	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("deep gain tables took %v — fallback not engaged", el)
+		t.Fatalf("deep gain lookups took %v", el)
 	}
 }
 

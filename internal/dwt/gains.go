@@ -1,20 +1,28 @@
 package dwt
 
-import (
-	"math"
-	"sync"
-
-	"j2kcell/internal/obs"
-)
+import "math"
 
 // Subband synthesis L2 gains. Rate control weighs the distortion
 // contribution of a coefficient error by the L2 norm of that
 // coefficient's synthesis basis vector; quantization step sizes divide
-// by the same norms. Rather than hard-coding the usual tables, the
-// norms are measured numerically: place a unit coefficient in the
-// middle of a subband of a sufficiently large plane, run a linearized
-// float64 inverse transform (the 5/3 without its floor rounding, and
-// the 9/7 as-is), and take the L2 norm of the reconstruction.
+// by the same norms.
+//
+// The norms have an exact closed form. An interior 1-D basis vector at
+// level l is the synthesis filter of its band (g0 low, g1 high)
+// upsampled and convolved with g0 once per finer level:
+// φ_{k+1} = up2(φ_k) * g0. Its autocorrelation b_k therefore obeys
+// b_{k+1}[m] = Σ_n r0[m−2n]·b_k[n], where r0 and r1 are the
+// autocorrelations of g0 and g1, and ‖φ_l‖² = b_l[0]. Lag m of b_{k+1}
+// reads only lags |n| ≤ (|m|+6)/2 of b_k (r0 spans |j| ≤ 6 for the 9/7,
+// 2 for the 5/3), so a window |m| ≤ gainWindow is closed under the
+// recursion and iterating it on that window is exact at every depth.
+// The 2-D basis of one coefficient is the outer product of two 1-D
+// bases, so its norm is the product of two 1-D norms:
+// HL = LH = gH·gL, HH = gH², LL = gL².
+//
+// The taps come from invLine64, the one float64 definition of each
+// inverse filter, and the whole table is built once at package init in
+// microseconds — BandGain is a plain array lookup.
 
 // Filter selects the wavelet for gain computation.
 type Filter int
@@ -25,189 +33,76 @@ const (
 	W97
 )
 
-type gainKey struct {
-	f      Filter
-	levels int
-}
+// maxGainLevels is the deepest decomposition the gain table covers: the
+// COD segment's level cap, which the codestream parser enforces and the
+// encoder's MaxLevels never reaches.
+const maxGainLevels = 32
 
-var (
-	gainMu    sync.Mutex
-	gainCache = map[gainKey]map[Orient][]float64{}
-)
+// gainWindow bounds the autocorrelation lags carried by the recursion;
+// it must cover r1 (|j| ≤ 8 for the 9/7) and stay closed under the
+// r0 step (|m| ≤ gainWindow ⇒ |n| ≤ (gainWindow+6)/2 ≤ gainWindow).
+const gainWindow = 12
 
-// WarmGains precomputes the gain table for one filter/level pair. The
-// parallel encoders call it from the coordinator before launching
-// workers: the lazy first touch otherwise lands inside one worker's
-// Tier-1 span and serializes every other worker on gainMu for the
-// hundreds of ms the numeric measurement takes.
-func WarmGains(f Filter, levels int) { BandGain(f, levels, LL, levels) }
-
-// WarmGainsObs is WarmGains recording a possible calibration span on an
-// explicit recorder (nil-safe), so a per-operation recorder attributes
-// the one-time measurement to the operation that triggered it.
-func WarmGainsObs(f Filter, levels int, rec *obs.Recorder) {
-	bandGainObs(f, levels, LL, levels, rec)
-}
+// gains[f][o][l] is the synthesis L2 norm of an orientation-o band at
+// level l under filter f; for LL it is the norm of the level-l low band.
+var gains = buildGains()
 
 // BandGain returns the synthesis L2 norm for a subband of the given
-// orientation at the given level under `levels` total decompositions.
-// For orientation LL only level == levels is meaningful.
+// orientation at the given level. An interior coefficient's basis does
+// not depend on how many levels lie below it, so `levels` does not
+// change the result; for orientation LL, level == levels.
 func BandGain(f Filter, levels int, o Orient, level int) float64 {
-	return bandGainObs(f, levels, o, level, obs.Active())
+	return gains[f][o][level]
 }
 
-func bandGainObs(f Filter, levels int, o Orient, level int, rec *obs.Recorder) float64 {
-	gainMu.Lock()
-	defer gainMu.Unlock()
-	key := gainKey{f, levels}
-	g, ok := gainCache[key]
-	if !ok {
-		// Cache miss: the numeric norm measurement runs 16 inverse
-		// transforms over a (32<<levels)² plane — hundreds of ms of
-		// one-time serial work, worth its own span so first-encode
-		// reports attribute it instead of showing anonymous serial time.
-		ln := rec.Acquire()
-		sp := ln.Begin(obs.StageCalib, int32(levels), int32(f))
-		g = computeGains(f, levels)
-		sp.End()
-		ln.Release()
-		gainCache[key] = g
+func buildGains() (g [2][4][maxGainLevels + 1]float64) {
+	for _, f := range []Filter{W53, W97} {
+		// Unit low coefficient at 16 and unit high coefficient at 48 of
+		// a 64-sample line: both responses sit well inside the line, so
+		// they are the bare synthesis filters.
+		r0, r1 := synthesisAutocorr(f, 16), synthesisAutocorr(f, 48)
+		bL, bH := r0, r1
+		g[f][LL][0] = 1
+		for l := 1; l <= maxGainLevels; l++ {
+			gL, gH := math.Sqrt(bL[gainWindow]), math.Sqrt(bH[gainWindow])
+			g[f][LL][l] = gL * gL
+			g[f][HL][l] = gH * gL
+			g[f][LH][l] = gL * gH
+			g[f][HH][l] = gH * gH
+			bL, bH = gainStep(&r0, &bL), gainStep(&r0, &bH)
+		}
 	}
-	return g[o][level]
+	return g
 }
 
-// Measurement strategy bounds. The plane measurement costs O(4^levels)
-// time and memory — gigabytes past level 9, while the COD field admits
-// up to 32 — so deep tables switch to the separable construction: the
-// 2-D synthesis basis of one coefficient is the outer product of two
-// 1-D bases, its L2 norm the product of two 1-D norms, each measurable
-// on a single line in O(2^level). Past gain1DLevels even the line is
-// too long; the per-level growth ratio has converged by then, so the
-// tail extrapolates geometrically. Only hostile or foreign streams
-// carry that many levels.
-const (
-	gain2DLevels = 6  // plane measurement: bit-identical to the original tables
-	gain1DLevels = 16 // direct line measurement; geometric extrapolation beyond
-)
-
-func computeGains(f Filter, levels int) map[Orient][]float64 {
-	if levels <= gain2DLevels {
-		return computeGains2D(f, levels)
-	}
-	return computeGainsSep(f, levels)
-}
-
-// computeGainsSep builds the table from separable 1-D synthesis norms:
-// gain(HL,l) = gH(l)·gL(l), gain(HH,l) = gH(l)², gain(LL) = gL(levels)².
-func computeGainsSep(f Filter, levels int) map[Orient][]float64 {
-	out := map[Orient][]float64{
-		LL: make([]float64, levels+1),
-		HL: make([]float64, levels+1),
-		LH: make([]float64, levels+1),
-		HH: make([]float64, levels+1),
-	}
-	ml := levels
-	if ml > gain1DLevels {
-		ml = gain1DLevels
-	}
-	data := make([]float64, 32<<uint(ml))
-	lineNorm := func(buf []float64, pos, lv int) float64 {
-		for i := range buf {
-			buf[i] = 0
-		}
-		buf[pos] = 1
-		inverseLinear(f, buf, len(buf), 1, len(buf), lv)
-		var ss float64
-		for _, v := range buf {
-			ss += v * v
-		}
-		return math.Sqrt(ss)
-	}
-	gL := make([]float64, levels+1)
-	gH := make([]float64, levels+1)
-	gL[0] = 1
-	for l := 1; l <= ml; l++ {
-		// A level-l basis needs only a 32<<l line: after l inverse
-		// steps its low band is [0,32) and high band [32,64), and the
-		// ~8·2^l-sample support sits interior with the same margin the
-		// plane measurement gives its deepest band.
-		buf := data[:32<<uint(l)]
-		gL[l] = lineNorm(buf, 16, l)
-		gH[l] = lineNorm(buf, 48, l)
-	}
-	for l := ml + 1; l <= levels; l++ {
-		gL[l] = gL[l-1] * (gL[ml] / gL[ml-1])
-		gH[l] = gH[l-1] * (gH[ml] / gH[ml-1])
-	}
-	for l := 1; l <= levels; l++ {
-		out[HL][l] = gH[l] * gL[l]
-		out[LH][l] = gL[l] * gH[l]
-		out[HH][l] = gH[l] * gH[l]
-	}
-	out[LL][levels] = gL[levels] * gL[levels]
-	return out
-}
-
-// computeGains2D measures norms on a plane just large enough that the
-// deepest band still has an interior coefficient.
-func computeGains2D(f Filter, levels int) map[Orient][]float64 {
-	n := 32 << levels
-	out := map[Orient][]float64{
-		LL: make([]float64, levels+1),
-		HL: make([]float64, levels+1),
-		LH: make([]float64, levels+1),
-		HH: make([]float64, levels+1),
-	}
-	data := make([]float64, n*n)
-	measure := func(x0, y0, w, h int) float64 {
-		for i := range data {
-			data[i] = 0
-		}
-		data[(y0+h/2)*n+(x0+w/2)] = 1
-		inverseLinear(f, data, n, n, n, levels)
-		var ss float64
-		for _, v := range data {
-			ss += v * v
-		}
-		return math.Sqrt(ss)
-	}
-	for _, b := range Layout(n, n, levels) {
-		out[b.Orient][b.Level] = measure(b.X0, b.Y0, b.W, b.H)
-	}
-	return out
-}
-
-// inverseLinear runs a float64 inverse transform without integer
-// rounding — the linear system whose basis norms we want.
-func inverseLinear(f Filter, data []float64, w, h, stride, levels int) {
-	maxd := w
-	if h > maxd {
-		maxd = h
-	}
-	tmp := make([]float64, maxd)
-	col := make([]float64, maxd)
-	for l := levels - 1; l >= 0; l-- {
-		lw, lh := levelDim(w, l), levelDim(h, l)
-		if lw <= 1 && lh <= 1 {
-			continue
-		}
-		if lw > 1 {
-			for r := 0; r < lh; r++ {
-				invLine64(f, data[r*stride:r*stride+lw], tmp)
-			}
-		}
-		if lh > 1 {
-			for c := 0; c < lw; c++ {
-				for r := 0; r < lh; r++ {
-					col[r] = data[r*stride+c]
-				}
-				invLine64(f, col[:lh], tmp)
-				for r := 0; r < lh; r++ {
-					data[r*stride+c] = col[r]
-				}
+// synthesisAutocorr runs the level-1 inverse on a 64-sample line holding
+// one unit coefficient at pos and returns the response's
+// autocorrelation at lags -gainWindow..gainWindow.
+func synthesisAutocorr(f Filter, pos int) (r [2*gainWindow + 1]float64) {
+	var x, tmp [64]float64
+	x[pos] = 1
+	invLine64(f, x[:], tmp[:])
+	for m := -gainWindow; m <= gainWindow; m++ {
+		for i := range x {
+			if j := i + m; j >= 0 && j < len(x) {
+				r[m+gainWindow] += x[i] * x[j]
 			}
 		}
 	}
+	return r
+}
+
+// gainStep advances the autocorrelation one level coarser:
+// next[m] = Σ_n r0[m−2n]·b[n] over the window.
+func gainStep(r0, b *[2*gainWindow + 1]float64) (next [2*gainWindow + 1]float64) {
+	for m := -gainWindow; m <= gainWindow; m++ {
+		for n := -gainWindow; n <= gainWindow; n++ {
+			if j := m - 2*n; j >= -gainWindow && j <= gainWindow {
+				next[m+gainWindow] += r0[j+gainWindow] * b[n+gainWindow]
+			}
+		}
+	}
+	return next
 }
 
 // invLine64 is the 1-D inverse in float64: exact lifting inverses with

@@ -37,32 +37,31 @@ type Stage uint8
 
 // Pipeline stages, in rough execution order.
 const (
-	StageMCT     Stage = iota // level shift + component transform (row stripes)
-	StageDWTVert              // vertical lifting of one level (column groups)
-	StageDWTHorz              // horizontal filtering of one level (row stripes)
-	StageQuant                // standalone quantization (oracle path)
-	StageT1                   // fused quantize + Tier-1 block job
-	StageHull                 // R-D ladder + convex hull (when not fused into T1)
-	StageRate                 // PCRD λ search (truncation-scan probes)
-	StageT2                   // Tier-2 packet assembly
-	StageFrame                // codestream framing
-	StageCalib                // one-time synthesis-gain measurement (dwt.BandGain)
-	StageTile                 // whole-tile job envelope (tiled encodes/decodes)
-	StageEncode               // whole-encode envelope (coordinator lane)
-	StageZero                 // decode: pooled-plane clearing (row stripes)
-	StageDeq                  // decode: dequantization (per component × band)
-	StageIDWTVert             // decode: vertical inverse lifting (column groups)
-	StageIDWTHorz             // decode: horizontal inverse filtering (row stripes)
-	StageIMCT                 // decode: inverse component transform + clamp (row stripes)
-	StageDecode               // whole-decode envelope (coordinator lane)
-	StageT1HT                 // Tier-1 block jobs through the HT (Part 15) coder
-	StageAdmit                // scheduler admission-queue wait (coordinator lane)
+	StageMCT      Stage = iota // level shift + component transform (row stripes)
+	StageDWTVert               // vertical lifting of one level (column groups)
+	StageDWTHorz               // horizontal filtering of one level (row stripes)
+	StageQuant                 // standalone quantization (oracle path)
+	StageT1                    // fused quantize + Tier-1 block job
+	StageHull                  // R-D ladder + convex hull (when not fused into T1)
+	StageRate                  // PCRD λ search (truncation-scan probes)
+	StageT2                    // Tier-2 packet assembly
+	StageFrame                 // codestream framing
+	StageTile                  // whole-tile job envelope (tiled encodes/decodes)
+	StageEncode                // whole-encode envelope (coordinator lane)
+	StageZero                  // decode: pooled-plane clearing (row stripes)
+	StageDeq                   // decode: dequantization (per component × band)
+	StageIDWTVert              // decode: vertical inverse lifting (column groups)
+	StageIDWTHorz              // decode: horizontal inverse filtering (row stripes)
+	StageIMCT                  // decode: inverse component transform + clamp (row stripes)
+	StageDecode                // whole-decode envelope (coordinator lane)
+	StageT1HT                  // Tier-1 block jobs through the HT (Part 15) coder
+	StageAdmit                 // scheduler admission-queue wait (coordinator lane)
 	numStages
 )
 
 var stageNames = [numStages]string{
 	"mct", "dwt-v", "dwt-h", "quant", "t1", "hull",
-	"rate", "t2", "frame", "calib", "tile", "encode",
+	"rate", "t2", "frame", "tile", "encode",
 	"zero", "deq", "idwt-v", "idwt-h", "imct", "decode",
 	"t1ht", "admit",
 }
@@ -85,34 +84,34 @@ type Counter uint8
 // accounting: bytes read + written by the lifting kernels per pass
 // (Section 3.2 prices the fused DWT by exactly this quantity).
 const (
-	CtrQueueRuns      Counter = iota // parallel work-queue drains
-	CtrQueueJobs                     // jobs pushed through the queue
-	CtrT1Blocks                      // code blocks entropy coded
-	CtrT1Scanned                     // Tier-1 coefficients examined
-	CtrT1Coded                       // Tier-1 MQ decisions coded
-	CtrMQRenorms                     // MQ renormalization chunks (batched shifts)
-	CtrDWTBytesMoved                 // bytes read+written by DWT lifting passes
-	CtrPoolPlaneHit                  // plane arena reuse
-	CtrPoolPlaneMiss                 // plane arena allocation
-	CtrPoolScratchHit                // stripe/block scratch reuse
-	CtrPoolScratchMiss               // stripe/block scratch allocation
-	CtrPoolCoderHit                  // Tier-1 coder state reuse
-	CtrPoolCoderMiss                 // Tier-1 coder state allocation
-	CtrRateProbes                    // PCRD λ-bisection probes
-	CtrHulls                         // convex hulls computed
-	CtrKernelScalar                  // encodes run with the scalar kernel set
-	CtrKernelSSE2                    // encodes run with the SSE2 kernel set
-	CtrKernelAVX2                    // encodes run with the AVX2 kernel set
-	CtrFaultPanics                   // worker panics contained into typed FaultErrors
-	CtrDecodeParts                   // dynamic T1-decode partitions formed
-	CtrDecodeSingles                 // expensive blocks isolated as singleton partitions
-	CtrHTBlocks                      // code blocks coded by the HT (Part 15) coder
-	CtrHTBytes                       // bytes emitted by the HT coder (all streams + trailers)
-	CtrSchedSelfClaims               // shared-scheduler jobs claimed by the operation's own goroutine
-	CtrSchedPoolClaims               // shared-scheduler jobs claimed by pool workers (cross-lane capacity)
-	CtrSchedAdmitWaits               // operations that waited in the scheduler admission queue
-	CtrResyncs                       // SOP/SOT resyncs performed by best-effort decodes
-	CtrConcealedBlocks               // code blocks concealed as zeros by best-effort decodes
+	CtrQueueRuns       Counter = iota // parallel work-queue drains
+	CtrQueueJobs                      // jobs pushed through the queue
+	CtrT1Blocks                       // code blocks entropy coded
+	CtrT1Scanned                      // Tier-1 coefficients examined
+	CtrT1Coded                        // Tier-1 MQ decisions coded
+	CtrMQRenorms                      // MQ renormalization chunks (batched shifts)
+	CtrDWTBytesMoved                  // bytes read+written by DWT lifting passes
+	CtrPoolPlaneHit                   // plane arena reuse
+	CtrPoolPlaneMiss                  // plane arena allocation
+	CtrPoolScratchHit                 // stripe/block scratch reuse
+	CtrPoolScratchMiss                // stripe/block scratch allocation
+	CtrPoolCoderHit                   // Tier-1 coder state reuse
+	CtrPoolCoderMiss                  // Tier-1 coder state allocation
+	CtrRateProbes                     // PCRD λ-bisection probes
+	CtrHulls                          // convex hulls computed
+	CtrKernelScalar                   // encodes run with the scalar kernel set
+	CtrKernelSSE2                     // encodes run with the SSE2 kernel set
+	CtrKernelAVX2                     // encodes run with the AVX2 kernel set
+	CtrFaultPanics                    // worker panics contained into typed FaultErrors
+	CtrDecodeParts                    // dynamic T1-decode partitions formed
+	CtrDecodeSingles                  // expensive blocks isolated as singleton partitions
+	CtrHTBlocks                       // code blocks coded by the HT (Part 15) coder
+	CtrHTBytes                        // bytes emitted by the HT coder (all streams + trailers)
+	CtrSchedSelfClaims                // shared-scheduler jobs claimed by the operation's own goroutine
+	CtrSchedPoolClaims                // shared-scheduler jobs claimed by pool workers (cross-lane capacity)
+	CtrSchedAdmitWaits                // operations that waited in the scheduler admission queue
+	CtrResyncs                        // SOP/SOT resyncs performed by best-effort decodes
+	CtrConcealedBlocks                // code blocks concealed as zeros by best-effort decodes
 	numCounters
 )
 

@@ -95,3 +95,19 @@ func TestMaxBitplanesCoversRealCoefficients(t *testing.T) {
 		}
 	}
 }
+
+// TestStepForDoesNotAllocate pins that a step lookup — made once per
+// band in every Tier-1, quantization and dequantization job — is a
+// plain table read with no allocation.
+func TestStepForDoesNotAllocate(t *testing.T) {
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		for l := 1; l <= 5; l++ {
+			sink += StepFor(DefaultBaseDelta, 5, dwt.HL, l) + StepFor(DefaultBaseDelta, 5, dwt.HH, l)
+		}
+		sink += StepFor(DefaultBaseDelta, 5, dwt.LL, 5)
+	}); n != 0 {
+		t.Fatalf("StepFor allocates %v times per run", n)
+	}
+	_ = sink
+}

@@ -309,3 +309,46 @@ func BenchmarkEncodeObsOverhead(b *testing.B) {
 		}
 	})
 }
+
+// TestOperationSpansStayOffAmbientRecorder pins that a one-time cost is
+// charged to the operation that paid it: with an ambient recorder
+// installed, a lossy encode and a full and a reduced decode of its
+// output, each under its own operation, record every span and counter
+// on their own recorders and none on the ambient one.
+func TestOperationSpansStayOffAmbientRecorder(t *testing.T) {
+	prev := obs.SwapAggregate(nil)
+	defer obs.SwapAggregate(prev)
+	ambient := obs.Enable()
+	defer func() {
+		obs.Disable()
+		ambient.Close()
+	}()
+	img := TestImage(160, 128, 11)
+	ctx, enc := obs.WithOperation(context.Background(), "encode")
+	data, _, err := EncodeParallelContext(ctx, img, Options{Rate: 0.2}, 2)
+	enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []*obs.Op{enc}
+	for _, discard := range []int{0, 3} {
+		ctx, dec := obs.WithOperation(context.Background(), "decode")
+		_, err := DecodeWithContext(ctx, data, DecodeOptions{DiscardLevels: discard})
+		dec.Finish()
+		if err != nil {
+			t.Fatalf("discard %d: %v", discard, err)
+		}
+		ops = append(ops, dec)
+	}
+	for i, op := range ops {
+		if len(op.Recorder().TSpans()) == 0 {
+			t.Fatalf("operation %d (%s) recorded no spans", i, op.Kind())
+		}
+	}
+	if spans := ambient.TSpans(); len(spans) != 0 {
+		t.Fatalf("ambient recorder received %d spans, first %q", len(spans), spans[0].Name)
+	}
+	if ctrs := ambient.Counters(); len(ctrs) != 0 {
+		t.Fatalf("ambient recorder received counters %v", ctrs)
+	}
+}
