@@ -127,26 +127,43 @@ func parseRun(path string) (*Run, error) {
 	return run, nil
 }
 
-// key identifies a benchmark across runs. The -N GOMAXPROCS suffix is
-// stripped so runs from differently-sized machines still pair up.
-func key(b Benchmark) string {
-	name := b.Name
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+// procsSuffix returns the -N GOMAXPROCS suffix go test appended to
+// every row of the run, or "" when the rows do not all end in the same
+// one. At GOMAXPROCS=1 go test appends nothing, so a trailing -N there
+// belongs to the sub-benchmark name (c-1, c-4, c-8) and must be kept.
+func procsSuffix(r *Run) string {
+	suffix := ""
+	for i, b := range r.Benchmarks {
+		j := strings.LastIndex(b.Name, "-")
+		if j <= 0 {
+			return ""
 		}
+		if _, err := strconv.Atoi(b.Name[j+1:]); err != nil {
+			return ""
+		}
+		if i > 0 && b.Name[j:] != suffix {
+			return ""
+		}
+		suffix = b.Name[j:]
 	}
-	return b.Pkg + " " + name
+	return suffix
+}
+
+// key identifies a benchmark across runs. The run's GOMAXPROCS suffix
+// is stripped so runs from differently-sized machines still pair up.
+func key(b Benchmark, suffix string) string {
+	return b.Pkg + " " + strings.TrimSuffix(b.Name, suffix)
 }
 
 func speedups(base, cur *Run) []Speedup {
+	bs, cs := procsSuffix(base), procsSuffix(cur)
 	byKey := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		byKey[key(b)] = b
+		byKey[key(b, bs)] = b
 	}
 	var out []Speedup
 	for _, c := range cur.Benchmarks {
-		b, ok := byKey[key(c)]
+		b, ok := byKey[key(c, cs)]
 		if !ok || c.NsPerOp == 0 {
 			continue
 		}

@@ -113,3 +113,50 @@ func TestSpeedupsPairAcrossGomaxprocsSuffix(t *testing.T) {
 		t.Fatalf("ratio %v, want 3", sp[0].Ratio)
 	}
 }
+
+// gomaxprocs1Sample is a BenchmarkMixedConcurrency excerpt run at
+// GOMAXPROCS=1, where go test appends no -N suffix: the trailing -1,
+// -4 and -8 are the client counts of the sub-benchmarks.
+const gomaxprocs1Sample = "pkg: j2kcell\n" +
+	"BenchmarkMixedConcurrency/shared/c-1 \t      20\t  64367319 ns/op\n" +
+	"BenchmarkMixedConcurrency/shared/c-4 \t      10\t 120000000 ns/op\n" +
+	"BenchmarkMixedConcurrency/shared/c-8 \t       5\t 240000000 ns/op\n"
+
+func TestSpeedupsKeepSubBenchmarkCountsAtGomaxprocs1(t *testing.T) {
+	run, err := parseRun(writeSample(t, gomaxprocs1Sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Benchmarks) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3", len(run.Benchmarks))
+	}
+	if s := procsSuffix(run); s != "" {
+		t.Fatalf("procsSuffix = %q, want none for differing trailing numbers", s)
+	}
+	sp := speedups(run, run)
+	if len(sp) != 3 {
+		t.Fatalf("got %d speedups, want one per client count", len(sp))
+	}
+	for _, s := range sp {
+		if s.Ratio != 1 {
+			t.Fatalf("%s paired with another row: ratio %v", s.Name, s.Ratio)
+		}
+	}
+	// The same rows at GOMAXPROCS=2 carry a common -2 and still pair
+	// with the GOMAXPROCS=1 run row for row.
+	cur := &Run{}
+	for _, b := range run.Benchmarks {
+		b.Name += "-2"
+		b.NsPerOp /= 2
+		cur.Benchmarks = append(cur.Benchmarks, b)
+	}
+	sp = speedups(run, cur)
+	if len(sp) != 3 {
+		t.Fatalf("got %d speedups across GOMAXPROCS, want 3", len(sp))
+	}
+	for _, s := range sp {
+		if s.Ratio != 2 {
+			t.Fatalf("%s: ratio %v, want 2", s.Name, s.Ratio)
+		}
+	}
+}

@@ -11,9 +11,7 @@ import (
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/jp2"
-	"j2kcell/internal/mct"
 	"j2kcell/internal/obs"
-	"j2kcell/internal/quant"
 	"j2kcell/internal/t1"
 	"j2kcell/internal/t2"
 )
@@ -120,11 +118,10 @@ func rectsIntersect(a, b Rect) bool {
 
 // blockAcc accumulates one code block's contributions across layers.
 type blockAcc struct {
-	zbp      int
-	passes   int
-	segLens  []int
-	data     []byte
-	included bool
+	zbp     int
+	passes  int
+	segLens []int
+	data    []byte
 }
 
 // DecodeWith reconstructs an image, optionally truncating the quality
@@ -222,24 +219,105 @@ func DecodeWithContext(ctx context.Context, data []byte, dopt DecodeOptions) (im
 	if tiled {
 		return decodeTiled(ctx, h, bodies, dopt)
 	}
-	tile, err := decodeTile(ctx, h, h.W, h.H, bodies[0], dopt, nil)
-	if err != nil || !dopt.regionSet() {
-		return tile, err
+	// A window decode writes just the window; a full or reduced decode
+	// leaves the target empty and gets the tile's planes back as the image.
+	var dst tileTarget
+	if r := dopt.Region; dopt.regionSet() {
+		dst = tileTarget{img: imgmodel.NewImage(r.W, r.H, h.NComp, h.Depth), src: r}
 	}
-	r := dopt.Region
-	return tile.SubImage(r.X0, r.Y0, r.W, r.H), nil
+	return decodeTile(ctx, h, h.W, h.H, bodies[0], dopt, nil, dst)
+}
+
+// discard resolves the effective number of dropped resolution levels.
+func (d DecodeOptions) discard(levels int) int {
+	return min(max(d.DiscardLevels, 0), levels)
+}
+
+// tileTarget is where decodeTile writes its reconstruction: the
+// tile-local window src, in samples of the decoded resolution, lands at
+// (dx, dy) of img. Tiles of one image write disjoint windows, so they
+// share img without locking. A nil img asks decodeTile to return its
+// coefficient planes as the whole output image.
+type tileTarget struct {
+	img    *imgmodel.Image
+	src    Rect
+	dx, dy int
+}
+
+// comp returns component c's backing slice starting at the target's
+// top-left sample, and its stride.
+func (t tileTarget) comp(c int) ([]int32, int) {
+	pl := t.img.Comps[c]
+	return pl.Data[t.dy*pl.Stride+t.dx:], pl.Stride
+}
+
+// clear zeroes the target window, concealing a tile that failed after
+// its inverse MCT had already written some rows.
+func (t tileTarget) clear() {
+	for c := range t.img.Comps {
+		d, stride := t.comp(c)
+		for y := 0; y < t.src.H; y++ {
+			clear(d[y*stride : y*stride+t.src.W])
+		}
+	}
 }
 
 // decodeTile reconstructs one tile of tw×th samples from its packet
-// body. The pipeline bound to ctx carries both the Tier-1 worker pool
+// body and writes it to dst (see tileTarget), returning the image it
+// wrote. The pipeline bound to ctx carries both the stage worker pool
 // and the cancellation checks of the packet-parse loop. A non-nil dmg
 // switches the tile to best-effort mode: packet parse failures, Tier-1
 // detection failures and contained worker faults are demoted to
 // localized concealment recorded in dmg instead of failing the tile.
-func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []byte, dopt DecodeOptions, dmg *tileDamage) (*imgmodel.Image, error) {
+func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []byte, dopt DecodeOptions, dmg *tileDamage, dst tileTarget) (*imgmodel.Image, error) {
 	p := NewPipelineContext(ctx, dopt.Workers)
 	defer p.Close()
 	bands := dwt.Layout(tw, th, h.Levels)
+	tasks, err := parseTile(p, h, bands, body, dopt, dmg)
+	if err != nil {
+		return nil, err
+	}
+	// Every band kept at DiscardLevels = d lies in the top-left
+	// ⌈tw/2^d⌉×⌈th/2^d⌉ box of the Mallat layout, so the planes cover
+	// only that box. Planes that become the output are fresh: already
+	// zero, and never a pooled array that may dwarf the image. Pooled
+	// planes arrive dirty, so the zero stage clears them: regions no
+	// included block covers must read as zero coefficients.
+	discard := dopt.discard(h.Levels)
+	rw, rh := dwt.LevelDims(tw, th, discard)
+	adopt := dst.img == nil
+	planes := make([]*imgmodel.Plane, h.NComp)
+	for c := range planes {
+		if adopt {
+			planes[c] = imgmodel.NewPlane(rw, rh)
+			p.rec.Add(obs.CtrPlaneBytes, 4*int64(len(planes[c].Data)))
+		} else {
+			planes[c] = imgmodel.GetPlaneObs(rw, rh, p.rec)
+		}
+	}
+	if adopt {
+		dst = tileTarget{img: &imgmodel.Image{W: rw, H: rh, Depth: h.Depth, Comps: planes}, src: Rect{W: rw, H: rh}}
+	} else {
+		p.ZeroPlanes(planes)
+	}
+	err = decodeBlocks(p, h, bands, tw, th, tasks, planes, dmg)
+	if err == nil {
+		// Layout lists LL, then each level's three bands coarsest first:
+		// the kept bands are a prefix.
+		err = reconstruct(p, h, bands[:1+3*(h.Levels-discard)], planes, h.Levels-discard, dst)
+	}
+	if !adopt || err != nil {
+		putPlanes(planes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return dst.img, nil
+}
+
+// tier1Modes maps the coding-style flags of a header to the Tier-1
+// block-coder mode and the Tier-2 segment style its packets use.
+func tier1Modes(h *codestream.Header) (t1.Mode, t2.SegStyle) {
 	mode := t1.ModeSingle
 	style := t2.SegSingle
 	switch {
@@ -255,32 +333,37 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 		// the MQ decoder must consume (and verify) it to stay in sync.
 		mode = mode.WithSegSym()
 	}
+	return mode, style
+}
+
+// parseTile walks one tile's packets in progression order and returns
+// the code blocks to Tier-1 decode: those in the kept layers and
+// resolutions, minus any whose synthesis support cannot touch a
+// requested region. Block positions are in the tile's full-resolution
+// Mallat layout, which every kept band shares with the reduced planes.
+func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte, dopt DecodeOptions, dmg *tileDamage) ([]blockTask, error) {
+	_, style := tier1Modes(h)
 	maxLayers := h.Layers
 	if dopt.MaxLayers > 0 && dopt.MaxLayers < maxLayers {
 		maxLayers = dopt.MaxLayers
 	}
-	discard := dopt.DiscardLevels
-	if discard < 0 {
-		discard = 0
-	}
-	if discard > h.Levels {
-		discard = h.Levels
-	}
-	keepRes := h.Levels - discard // decode resolutions 0..keepRes
+	keepRes := h.Levels - dopt.discard(h.Levels) // decode resolutions 0..keepRes
 
 	// Parse all packets in progression order, accumulating per-block state.
-	// Precinct coding state persists across layers per (comp, band).
-	type key struct{ c, b int }
-	precincts := map[key]*t2.Precinct{}
-	accs := map[key][]*blockAcc{}
+	// Precinct coding state persists across layers per (comp, band),
+	// indexed c*len(bands)+band.
+	precincts := make([]*t2.Precinct, h.NComp*len(bands))
+	accs := make([][]*blockAcc, len(precincts))
 	for c := 0; c < h.NComp; c++ {
 		for bi, band := range bands {
 			gw := (band.W + h.CBW - 1) / h.CBW
 			gh := (band.H + h.CBH - 1) / h.CBH
-			precincts[key{c, bi}] = t2.NewPrecinct(gw, gh)
-			accs[key{c, bi}] = make([]*blockAcc, gw*gh)
+			precincts[c*len(bands)+bi] = t2.NewPrecinct(gw, gh)
+			accs[c*len(bands)+bi] = make([]*blockAcc, gw*gh)
 		}
 	}
+	nacc := 0 // blocks with at least one kept contribution
+	var pkt []*t2.Precinct
 
 	order := PacketOrder(Progression(h.Progression), h.Layers, h.Levels, h.NComp)
 	if dmg != nil {
@@ -303,9 +386,9 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 		}
 		l, r, c := order[pi][0], order[pi][1], order[pi][2]
 		resBands := ResBands(h.Levels, r)
-		var pkt []*t2.Precinct
+		pkt = pkt[:0]
 		for _, bi := range resBands {
-			pkt = append(pkt, precincts[key{c, bi}])
+			pkt = append(pkt, precincts[c*len(bands)+bi])
 		}
 		if h.SOPMarkers {
 			// Each packet is prefixed FF 91 00 04 seq16. The sequence
@@ -380,40 +463,37 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 			continue // parsed for position, contents discarded
 		}
 		for _, bi := range resBands {
-			p := precincts[key{c, bi}]
-			acc := accs[key{c, bi}]
+			p := precincts[c*len(bands)+bi]
+			acc := accs[c*len(bands)+bi]
 			for i, blk := range p.Blocks {
 				if blk == nil || blk.NumPasses == 0 {
 					continue
 				}
 				a := acc[i]
 				if a == nil {
-					a = &blockAcc{zbp: blk.ZeroBP, included: true}
+					a = &blockAcc{zbp: blk.ZeroBP}
 					acc[i] = a
+					nacc++
 				}
 				a.passes += blk.NumPasses
 				for _, s := range blk.Segments {
 					a.segLens = append(a.segLens, s.Len)
 				}
-				a.data = append(a.data, blk.Data...)
+				// A block's first contribution aliases the packet body
+				// (Tier-1 only reads it); the capped slice makes a later
+				// layer's append copy instead of writing into the body.
+				if a.data == nil {
+					a.data = blk.Data[:len(blk.Data):len(blk.Data)]
+				} else {
+					a.data = append(a.data, blk.Data...)
+				}
 			}
 		}
 	}
 
-	// Tier-1 decode every accumulated block into pooled coefficient
-	// planes, skipping blocks whose synthesis support cannot touch a
-	// requested region. Pooled planes arrive dirty, so a stripe-parallel
-	// zero stage runs first: regions no included block covers must read
-	// as zero coefficients. Blocks write disjoint plane regions, so they
-	// decode independently — serially or across the worker pool.
-	planes := make([]*imgmodel.Plane, h.NComp)
-	for c := range planes {
-		planes[c] = imgmodel.GetPlaneObs(tw, th, p.rec)
-	}
-	p.ZeroPlanes(planes)
-	var tasks []blockTask
+	tasks := make([]blockTask, 0, nacc)
 	for c := 0; c < h.NComp; c++ {
-		for bi, band := range bands {
+		for bi, band := range bands[:1+3*keepRes] {
 			if band.W == 0 || band.H == 0 {
 				continue
 			}
@@ -422,7 +502,7 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 				want = bandWindow(dopt.Region, band.Level)
 			}
 			gw := (band.W + h.CBW - 1) / h.CBW
-			for i, a := range accs[key{c, bi}] {
+			for i, a := range accs[c*len(bands)+bi] {
 				if a == nil {
 					continue
 				}
@@ -451,13 +531,21 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 				tasks = append(tasks, blockTask{
 					acc: a, orient: band.Orient, numBPS: numBPS,
 					x0: band.X0 + gx*h.CBW, y0: band.Y0 + gy*h.CBH,
-					bw: bw, bh: bh, plane: planes[c], c: c, bi: bi, gx: gx, gy: gy,
+					bw: bw, bh: bh, c: c, bi: bi, gx: gx, gy: gy,
 				})
 			}
 		}
 	}
+	return tasks, nil
+}
+
+// decodeBlocks Tier-1 decodes every task into its component's plane.
+// Blocks write disjoint plane regions, so they decode independently —
+// serially or across the worker pool.
+func decodeBlocks(p *Pipeline, h *codestream.Header, bands []dwt.Band, tw, th int, tasks []blockTask, planes []*imgmodel.Plane, dmg *tileDamage) error {
+	mode, _ := tier1Modes(h)
 	decodeOne := func(tk blockTask) error {
-		pl := tk.plane
+		pl := planes[tk.c]
 		err := t1.DecodeObs(p.rec, pl.Data[tk.y0*pl.Stride+tk.x0:], tk.bw, tk.bh, pl.Stride,
 			tk.orient, mode, tk.numBPS, tk.acc.passes, tk.acc.data, tk.acc.segLens)
 		if err != nil {
@@ -482,38 +570,26 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	}
 	if dmg != nil {
 		dmg.totalBlocks = len(tasks)
-		if err := decodeBlocksBestEffort(p, st, h, bands, tw, th, tasks, parts, partCost, decodeOne, dmg); err != nil {
-			putPlanes(planes)
-			return nil, err
-		}
-	} else {
-		errs := make([]error, len(parts))
-		p.runCost(st, 0, len(parts), partCost, func(i int) {
-			for t := parts[i].lo; t < parts[i].hi; t++ {
-				if err := decodeOne(tasks[t]); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		})
-		if perr := p.Err(); perr != nil {
-			putPlanes(planes)
-			return nil, perr
-		}
-		for _, err := range errs {
-			if err != nil {
-				putPlanes(planes)
-				return nil, err
+		return decodeBlocksBestEffort(p, st, h, bands, tw, th, tasks, planes, parts, partCost, decodeOne, dmg)
+	}
+	errs := make([]error, len(parts))
+	p.runCost(st, 0, len(parts), partCost, func(i int) {
+		for t := parts[i].lo; t < parts[i].hi; t++ {
+			if err := decodeOne(tasks[t]); err != nil {
+				errs[i] = err
+				return
 			}
 		}
+	})
+	if perr := p.Err(); perr != nil {
+		return perr
 	}
-
-	if discard == 0 {
-		return reconstruct(p, h, bands, planes, tw, th)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	img, err := reconstructReduced(h, bands, planes, tw, th, discard)
-	putPlanes(planes)
-	return img, err
+	return nil
 }
 
 // decodeBlocksBestEffort drains the Tier-1 partitions with per-block
@@ -533,10 +609,10 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 // tile. Partitions own disjoint task ranges writing disjoint plane
 // regions, so concealment never races with live decoding.
 func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, bands []dwt.Band, tw, th int,
-	tasks []blockTask, parts []decodePart, partCost int64, decodeOne func(blockTask) error, dmg *tileDamage) error {
+	tasks []blockTask, planes []*imgmodel.Plane, parts []decodePart, partCost int64, decodeOne func(blockTask) error, dmg *tileDamage) error {
 	conceal := func(t int, cause string) {
 		tk := tasks[t]
-		pl := tk.plane
+		pl := planes[tk.c]
 		for y := tk.y0; y < tk.y0+tk.bh; y++ {
 			row := pl.Data[y*pl.Stride+tk.x0 : y*pl.Stride+tk.x0+tk.bw]
 			for i := range row {
@@ -600,14 +676,14 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 	return nil
 }
 
-// blockTask is one accumulated code block awaiting Tier-1 decode.
+// blockTask is one accumulated code block awaiting Tier-1 decode into
+// component c's plane.
 type blockTask struct {
 	acc    *blockAcc
 	orient dwt.Orient
 	numBPS int
 	x0, y0 int
 	bw, bh int
-	plane  *imgmodel.Plane
 	c, bi  int
 	gx, gy int
 }
@@ -621,152 +697,21 @@ func putPlanes(planes []*imgmodel.Plane) {
 	}
 }
 
-// reconstruct runs the full-size inverse transforms for one tile
-// through the stage pipeline: dequantization, the multi-level inverse
-// DWT and the fused inverse MCT + clamp drain the same work queue
-// Tier-1 did, and the pooled planes are recycled as each stage finishes
-// with them. Bit-identical to running dwt.Inverse53/97 and the serial
-// MCT helpers per plane.
-func reconstruct(p *Pipeline, h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane, tw, th int) (*imgmodel.Image, error) {
-	img := imgmodel.NewImage(tw, th, h.NComp, h.Depth)
+// reconstruct runs the inverse transforms of one tile through the
+// stage pipeline: dequantization of the kept bands, `levels` inverse
+// DWT levels and the fused inverse MCT + clamp drain the same work
+// queue Tier-1 did. The irreversible path runs on float views of the
+// same planes, so a decode holds one set of planes whatever its path.
+// The inverse MCT writes dst's window; when dst is the planes
+// themselves (a whole untiled output) it runs in place.
+func reconstruct(p *Pipeline, h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane, levels int, dst tileTarget) error {
 	if h.Lossless {
-		p.IDWT53(planes, h.Levels, 0)
-		p.InverseMCTInt(img, planes, h)
-		putPlanes(planes)
-		if err := p.Err(); err != nil {
-			return nil, err
-		}
-		return img, nil
+		p.IDWT53(planes, levels, 0)
+		p.InverseMCTInt(dst, planes, h)
+	} else {
+		fplanes := p.Dequantize(h, bands, planes)
+		p.IDWT97(fplanes, levels, 0)
+		p.InverseMCTFloat(dst, fplanes, h)
 	}
-	fplanes := p.Dequantize(h, bands, planes)
-	putPlanes(planes)
-	p.IDWT97(fplanes, h.Levels, 0)
-	p.InverseMCTFloat(img, fplanes, h)
-	for _, fp := range fplanes {
-		imgmodel.PutFPlane(fp)
-	}
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-// reconstructReduced inverse-transforms only the kept resolutions: the
-// LL plane of the discarded levels becomes the output image.
-func reconstructReduced(h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane, tw, th, discard int) (*imgmodel.Image, error) {
-	rw, rh := tw, th
-	for i := 0; i < discard; i++ {
-		rw, rh = (rw+1)/2, (rh+1)/2
-	}
-	img := imgmodel.NewImage(rw, rh, h.NComp, h.Depth)
-	if h.Lossless {
-		for c, p := range planes {
-			// Invert levels discard..Levels-1 only, then crop the LL.
-			invertUpper53(p, tw, th, h.Levels, discard)
-			for y := 0; y < rh; y++ {
-				copy(img.Comps[c].Row(y), p.Row(y)[:rw])
-			}
-		}
-		inverseMCTInt(img, h)
-		return img, nil
-	}
-	fplanes := dequantize(h, bands, planes, tw, th, discard)
-	red := make([]*imgmodel.FPlane, len(fplanes))
-	for c, fp := range fplanes {
-		invertUpper97(fp, tw, th, h.Levels, discard)
-		r := imgmodel.NewFPlane(rw, rh)
-		for y := 0; y < rh; y++ {
-			copy(r.Row(y), fp.Row(y)[:rw])
-		}
-		red[c] = r
-	}
-	inverseMCTFloat(img, red, h)
-	return img, nil
-}
-
-// invertUpper53 undoes the coarsest levels only (levels-1 .. discard),
-// leaving the top-left region holding the reduced-resolution image.
-func invertUpper53(p *imgmodel.Plane, w, h, levels, discard int) {
-	dwt.InverseLevels53(p.Data, w, h, p.Stride, levels, discard)
-}
-
-// invertUpper97 is the float analogue.
-func invertUpper97(p *imgmodel.FPlane, w, h, levels, discard int) {
-	dwt.InverseLevels97(p.Data, w, h, p.Stride, levels, discard)
-}
-
-// dequantize converts quantizer indices back to coefficients for all
-// bands at resolutions surviving `discard` (others stay zero and are
-// never read).
-func dequantize(h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane, w, hh int, _ ...int) []*imgmodel.FPlane {
-	fplanes := make([]*imgmodel.FPlane, len(planes))
-	for c, p := range planes {
-		fp := imgmodel.NewFPlane(w, hh)
-		for _, b := range bands {
-			if b.W == 0 || b.H == 0 {
-				continue
-			}
-			delta := float32(quant.StepFor(h.BaseDelta, h.Levels, b.Orient, b.Level))
-			for y := b.Y0; y < b.Y0+b.H; y++ {
-				quant.DequantizeRow(fp.Data[y*fp.Stride+b.X0:][:b.W], p.Data[y*p.Stride+b.X0:][:b.W], delta)
-			}
-		}
-		fplanes[c] = fp
-	}
-	return fplanes
-}
-
-// inverseMCTInt finishes the reversible path: inverse RCT or unshift.
-func inverseMCTInt(img *imgmodel.Image, h *codestream.Header) {
-	for y := 0; y < img.H; y++ {
-		if h.UseMCT && h.NComp == 3 {
-			mct.InverseRCTRow(img.Comps[0].Row(y), img.Comps[1].Row(y), img.Comps[2].Row(y), h.Depth)
-		} else {
-			for c := range img.Comps {
-				mct.UnshiftRow(img.Comps[c].Row(y), h.Depth)
-			}
-		}
-	}
-	clampImage(img, h.Depth)
-}
-
-// inverseMCTFloat finishes the irreversible path: inverse ICT (or
-// unshift), rounding and clamping.
-func inverseMCTFloat(img *imgmodel.Image, fplanes []*imgmodel.FPlane, h *codestream.Header) {
-	off := float32(int32(1) << (h.Depth - 1))
-	for y := 0; y < img.H; y++ {
-		if h.UseMCT && h.NComp == 3 {
-			mct.InverseICTRow(fplanes[0].Row(y), fplanes[1].Row(y), fplanes[2].Row(y),
-				img.Comps[0].Row(y), img.Comps[1].Row(y), img.Comps[2].Row(y), h.Depth)
-		} else {
-			for c := range img.Comps {
-				src, dst := fplanes[c].Row(y), img.Comps[c].Row(y)
-				for i := range src {
-					v := src[i] + off
-					if v >= 0 {
-						dst[i] = int32(v + 0.5)
-					} else {
-						dst[i] = -int32(-v + 0.5)
-					}
-				}
-			}
-		}
-	}
-	clampImage(img, h.Depth)
-}
-
-func clampImage(img *imgmodel.Image, depth int) {
-	maxv := int32(1)<<depth - 1
-	for _, p := range img.Comps {
-		for y := 0; y < p.H; y++ {
-			row := p.Row(y)
-			for i, v := range row {
-				if v < 0 {
-					row[i] = 0
-				} else if v > maxv {
-					row[i] = maxv
-				}
-			}
-		}
-	}
+	return p.Err()
 }

@@ -14,17 +14,22 @@ import (
 // Decode-side pipeline stages. The inverse chain mirrors the encoder's
 // stage decomposition through the same atomic work queue:
 //
-//	plane zeroing              — row stripes (pooled planes arrive dirty)
+//	plane zeroing              — row stripes (pooled planes only; planes
+//	                             that become the output are fresh)
 //	Tier-1 block decode        — dynamically-sized partitions of the
 //	                             block list (see partitionDecodeTasks)
-//	dequantization             — one job per (component × band)
+//	dequantization             — one job per (component × kept band)
 //	multi-level inverse DWT    — horizontal: row stripes; vertical:
 //	                             cache-line column groups; barrier per
 //	                             phase and per level, levels walked
 //	                             finest-last (the reverse of DWT53/97)
-//	inverse MCT + clamp        — row stripes, fused with the plane→image
-//	                             copy on the reversible path
+//	inverse MCT + clamp        — row stripes of the requested window,
+//	                             written into the output; a full untiled
+//	                             decode returns the planes themselves
 //
+// The planes are sized to the decoded resolution: a decode that drops
+// d levels works on the top-left ⌈w/2^d⌉×⌈h/2^d⌉ box of the Mallat
+// layout and runs the inverse DWT over the remaining levels only.
 // Every split is elementwise-independent, so the reconstructed pixels
 // are bit-identical to the sequential decoder for every worker count,
 // kernel set, and tiling — the decode half of the DESIGN.md §5
@@ -48,15 +53,16 @@ func (p *Pipeline) ZeroPlanes(planes []*imgmodel.Plane) {
 	})
 }
 
-// Dequantize converts quantizer indices back to coefficients, one job
-// per (component, band), into pooled float planes. The subbands tile
-// the plane, so every live sample of the pooled planes is written; the
-// stride padding is never read by the inverse transforms.
+// Dequantize converts quantizer indices back to coefficients in place,
+// one job per (component, band), and returns the planes' float views.
+// bands must tile the planes — all of a tile's bands, or the kept
+// prefix of a reduced decode, which tiles its top-left box — so every
+// live sample is converted exactly once; the stride padding is never
+// read by the inverse transforms.
 func (p *Pipeline) Dequantize(h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane) []*imgmodel.FPlane {
-	w, hh := planes[0].W, planes[0].H
 	fplanes := make([]*imgmodel.FPlane, len(planes))
-	for c := range fplanes {
-		fplanes[c] = imgmodel.GetFPlaneObs(w, hh, p.rec)
+	for c, pl := range planes {
+		fplanes[c] = pl.FloatView()
 	}
 	p.run(obs.StageDeq, 0, len(planes)*len(bands), func(i int) {
 		c, b := i/len(bands), bands[i%len(bands)]
@@ -145,53 +151,70 @@ func (p *Pipeline) IDWT97(fplanes []*imgmodel.FPlane, levels, stop int) {
 	}
 }
 
-// InverseMCTInt finishes the reversible path stripe-parallel: copy the
-// synthesized planes into the image, apply the inverse RCT (or the
-// plain unshift), and clamp — one fused pass per row stripe, the
-// inverse of MCTInt.
-func (p *Pipeline) InverseMCTInt(img *imgmodel.Image, planes []*imgmodel.Plane, h *codestream.Header) {
-	w, hh := img.W, img.H
+// InverseMCTInt finishes the reversible path stripe-parallel over the
+// rows of dst's window: copy the window out of the synthesized planes,
+// apply the inverse RCT (or the plain unshift), and clamp — one fused
+// pass per row stripe, the inverse of MCTInt. When dst is the planes
+// themselves there is nothing to copy and the transform runs in place.
+func (p *Pipeline) InverseMCTInt(dst tileTarget, planes []*imgmodel.Plane, h *codestream.Header) {
+	r := dst.src
+	inPlace := dst.img.Comps[0] == planes[0]
 	useMCT := h.UseMCT && h.NComp == 3
-	p.run(obs.StageIMCT, 0, stripes(hh), func(s int) {
-		y0, y1 := stripeBounds(s, hh)
-		for c, pl := range planes {
-			dst := img.Comps[c]
-			copy(dst.Data[y0*dst.Stride:y1*dst.Stride], pl.Data[y0*pl.Stride:y1*pl.Stride])
-		}
-		if useMCT {
-			mct.InverseRCTRows(img.Comps[0].Data, img.Comps[1].Data, img.Comps[2].Data,
-				w, img.Comps[0].Stride, y0, y1, h.Depth)
-		} else {
-			for c := range img.Comps {
-				mct.UnshiftRows(img.Comps[c].Data, w, img.Comps[c].Stride, y0, y1, h.Depth)
+	out := make([][]int32, len(planes))
+	var stride int
+	for c := range out {
+		out[c], stride = dst.comp(c)
+	}
+	p.run(obs.StageIMCT, 0, stripes(r.H), func(s int) {
+		y0, y1 := stripeBounds(s, r.H)
+		if !inPlace {
+			for c, pl := range planes {
+				src := pl.Data[r.Y0*pl.Stride+r.X0:]
+				for y := y0; y < y1; y++ {
+					copy(out[c][y*stride:y*stride+r.W], src[y*pl.Stride:])
+				}
 			}
 		}
-		for c := range img.Comps {
-			mct.ClampRows(img.Comps[c].Data, w, img.Comps[c].Stride, y0, y1, h.Depth)
+		if useMCT {
+			mct.InverseRCTRows(out[0], out[1], out[2], r.W, stride, y0, y1, h.Depth)
+		} else {
+			for _, o := range out {
+				mct.UnshiftRows(o, r.W, stride, y0, y1, h.Depth)
+			}
+		}
+		for _, o := range out {
+			mct.ClampRows(o, r.W, stride, y0, y1, h.Depth)
 		}
 	})
 }
 
-// InverseMCTFloat finishes the irreversible path stripe-parallel:
-// inverse ICT (or round-unshift) straight from the synthesized float
-// planes into the image, then clamp — the inverse of MCTFloat.
-func (p *Pipeline) InverseMCTFloat(img *imgmodel.Image, fplanes []*imgmodel.FPlane, h *codestream.Header) {
-	w, hh := img.W, img.H
+// InverseMCTFloat finishes the irreversible path stripe-parallel over
+// the rows of dst's window: inverse ICT (or round-unshift) straight from
+// the synthesized float planes into the target, then clamp — the
+// inverse of MCTFloat. When dst is the planes the float views belong
+// to, each sample is rewritten in place as an integer.
+func (p *Pipeline) InverseMCTFloat(dst tileTarget, fplanes []*imgmodel.FPlane, h *codestream.Header) {
+	r := dst.src
 	useMCT := h.UseMCT && h.NComp == 3
-	p.run(obs.StageIMCT, 0, stripes(hh), func(s int) {
-		y0, y1 := stripeBounds(s, hh)
+	in := make([][]float32, len(fplanes))
+	out := make([][]int32, len(fplanes))
+	var stride int
+	for c, fp := range fplanes {
+		in[c] = fp.Data[r.Y0*fp.Stride+r.X0:]
+		out[c], stride = dst.comp(c)
+	}
+	fs := fplanes[0].Stride
+	p.run(obs.StageIMCT, 0, stripes(r.H), func(s int) {
+		y0, y1 := stripeBounds(s, r.H)
 		if useMCT {
-			mct.InverseICTRows(fplanes[0].Data, fplanes[1].Data, fplanes[2].Data,
-				img.Comps[0].Data, img.Comps[1].Data, img.Comps[2].Data,
-				w, fplanes[0].Stride, img.Comps[0].Stride, y0, y1, h.Depth)
+			mct.InverseICTRows(in[0], in[1], in[2], out[0], out[1], out[2], r.W, fs, stride, y0, y1, h.Depth)
 		} else {
-			for c := range img.Comps {
-				mct.RoundShiftRows(fplanes[c].Data, img.Comps[c].Data,
-					w, fplanes[c].Stride, img.Comps[c].Stride, y0, y1, h.Depth)
+			for c := range out {
+				mct.RoundShiftRows(in[c], out[c], r.W, fs, stride, y0, y1, h.Depth)
 			}
 		}
-		for c := range img.Comps {
-			mct.ClampRows(img.Comps[c].Data, w, img.Comps[c].Stride, y0, y1, h.Depth)
+		for _, o := range out {
+			mct.ClampRows(o, r.W, stride, y0, y1, h.Depth)
 		}
 	})
 }

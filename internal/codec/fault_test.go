@@ -97,7 +97,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 		},
 		{
 			name:   "decode-lossy",
-			stages: []string{"zero", "t1", "deq", "idwt-h", "idwt-v", "imct"},
+			stages: []string{"t1", "deq", "idwt-h", "idwt-v", "imct"},
 			run: func(w int) error {
 				_, err := DecodeWith(decSrc.Data, DecodeOptions{Workers: w})
 				return err
@@ -105,7 +105,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 		},
 		{
 			name:   "decode-lossless",
-			stages: []string{"zero", "t1", "idwt-h", "idwt-v", "imct"},
+			stages: []string{"t1", "idwt-h", "idwt-v", "imct"},
 			run: func(w int) error {
 				_, err := DecodeWith(base.Data, DecodeOptions{Workers: w})
 				return err
@@ -131,7 +131,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 		},
 		{
 			name:   "decode-ht",
-			stages: []string{"zero", "t1ht", "idwt-h", "idwt-v", "imct"},
+			stages: []string{"t1ht", "idwt-h", "idwt-v", "imct"},
 			run: func(w int) error {
 				_, err := DecodeWith(htSrc.Data, DecodeOptions{Workers: w})
 				return err
@@ -142,6 +142,29 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			stages: []string{"t1ht", "deq"},
 			run: func(w int) error {
 				_, err := DecodeWith(htRateSrc.Data, DecodeOptions{Workers: w})
+				return err
+			},
+		},
+		{
+			// A window decode clears pooled planes (full and reduced
+			// decodes get fresh, already-zero planes that become the
+			// output, so they have no zero stage) and writes only the
+			// window in its inverse MCT.
+			name:   "decode-window",
+			stages: []string{"zero", "t1", "deq", "idwt-h", "idwt-v", "imct"},
+			run: func(w int) error {
+				_, err := DecodeWith(decSrc.Data, DecodeOptions{Workers: w, Region: Rect{X0: 10, Y0: 20, W: 100, H: 90}})
+				return err
+			},
+		},
+		{
+			// Reduced decode runs the same pipelined inverse chain over
+			// the kept levels (its 64-row output is one imct stripe, so
+			// the second-entry fault has no imct job to land on).
+			name:   "decode-reduced",
+			stages: []string{"t1", "idwt-h", "idwt-v"},
+			run: func(w int) error {
+				_, err := DecodeWith(base.Data, DecodeOptions{Workers: w, DiscardLevels: 1})
 				return err
 			},
 		},
@@ -254,6 +277,63 @@ func TestBestEffortDemotesTier1Faults(t *testing.T) {
 						if !in && rrow[x] != drow[x] {
 							t.Fatalf("%s: sibling pixel (%d,%d,c%d) damaged outside region %+v",
 								name, x, y, c, reg)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBestEffortDemotesIMCTFaultToTile is the tiled best-effort row of
+// the fault matrix for the stage that writes the output: tiles write
+// their inverse MCT straight into the shared image, so a fault after a
+// tile's first stripe has landed must still leave that tile's window
+// reading zero, and every other tile pixel-identical to the undamaged
+// decode.
+func TestBestEffortDemotesIMCTFaultToTile(t *testing.T) {
+	img := workload.Dial(256, 256, 5, 4)
+	// 128-row tiles are two imct stripes each, so the second imct entry
+	// can fault a tile whose first stripe is already in the output.
+	res, err := EncodeTiled(img, Options{Lossless: true, TileW: 128, TileH: 128}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Decode(res.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []faults.Mode{faults.Panic, faults.Error} {
+		for _, workers := range []int{1, 2, 8} {
+			name := fmt.Sprintf("imct/w%d/mode%d/best-effort", workers, mode)
+			faults.Arm("imct", 2, mode)
+			dec, rep := DecodeResilient(res.Data, DecodeOptions{Workers: workers})
+			fired := faults.Fired()
+			faults.Disarm()
+			if fired != 1 {
+				t.Fatalf("%s: fault fired %d times, want 1", name, fired)
+			}
+			if len(rep.Tiles) != 1 || rep.Complete {
+				t.Fatalf("%s: want exactly one concealed tile, got %v", name, rep)
+			}
+			td := rep.Tiles[0]
+			if len(td.Faults) != 1 || td.Faults[0].Stage != "imct" {
+				t.Fatalf("%s: fault not attributed to imct: %+v", name, td.Faults)
+			}
+			reg := td.Region
+			if reg.W != 128 || reg.H != 128 {
+				t.Fatalf("%s: concealed region %+v, want the whole 128x128 tile", name, reg)
+			}
+			for c := range ref.Comps {
+				for y := 0; y < ref.H; y++ {
+					rrow, drow := ref.Comps[c].Row(y), dec.Comps[c].Row(y)
+					for x := 0; x < ref.W; x++ {
+						in := x >= reg.X0 && x < reg.X0+reg.W && y >= reg.Y0 && y < reg.Y0+reg.H
+						if in && drow[x] != 0 {
+							t.Fatalf("%s: faulted tile pixel (%d,%d,c%d) = %d, want 0", name, x, y, c, drow[x])
+						}
+						if !in && rrow[x] != drow[x] {
+							t.Fatalf("%s: pixel (%d,%d,c%d) outside the faulted tile damaged", name, x, y, c)
 						}
 					}
 				}

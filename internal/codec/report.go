@@ -189,8 +189,8 @@ func unionRect(a, b Rect) Rect {
 	if b.W == 0 || b.H == 0 {
 		return a
 	}
-	x0, y0 := minI(a.X0, b.X0), minI(a.Y0, b.Y0)
-	x1 := maxI(a.X0+a.W, b.X0+b.W)
-	y1 := maxI(a.Y0+a.H, b.Y0+b.H)
+	x0, y0 := min(a.X0, b.X0), min(a.Y0, b.Y0)
+	x1 := max(a.X0+a.W, b.X0+b.W)
+	y1 := max(a.Y0+a.H, b.Y0+b.H)
 	return Rect{X0: x0, Y0: y0, W: x1 - x0, H: y1 - y0}
 }

@@ -111,13 +111,7 @@ func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions
 		rep.Notes = append(rep.Notes, "Region not supported in best-effort decode; full image returned")
 		dopt.Region = Rect{}
 	}
-	discard := dopt.DiscardLevels
-	if discard < 0 {
-		discard = 0
-	}
-	if discard > h.Levels {
-		discard = h.Levels
-	}
+	discard := dopt.discard(h.Levels)
 	scale := 1 << uint(discard)
 	if discard > 0 && tiled && (h.TileW%scale != 0 || h.TileH%scale != 0) {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("DiscardLevels=%d ignored: tile size not divisible by %d", discard, scale))
@@ -125,13 +119,13 @@ func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions
 	}
 	dopt.DiscardLevels = discard
 
-	// Decode the declared grid tile by tile into a zeroed image: a tile
-	// that is missing, undecodable, or faulted simply stays zero. The
-	// retry loop demotes tile-stage faults the same way the Tier-1 loop
-	// inside decodeTile demotes block-stage faults.
-	rw := (h.W + scale - 1) / scale
-	rh := (h.H + scale - 1) / scale
-	out := imgmodel.NewImage(rw, rh, h.NComp, h.Depth)
+	// Decode the declared grid tile by tile, each straight into its
+	// window of a zeroed image: a tile that is missing, undecodable, or
+	// faulted reads zero (see the concealment below). The retry loop
+	// demotes tile-stage faults the same way the Tier-1 loop inside
+	// decodeTile demotes block-stage faults.
+	reg := Rect{W: (h.W + scale - 1) / scale, H: (h.H + scale - 1) / scale}
+	out := imgmodel.NewImage(reg.W, reg.H, h.NComp, h.Depth)
 	p := NewPipelineContext(ctx, dopt.Workers)
 	defer p.Close()
 	td := dopt
@@ -152,17 +146,14 @@ func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions
 			}
 			dmg := &tileDamage{}
 			dmgs[i] = dmg
-			r := grid[i]
-			tile, terr := decodeTile(p.Context(), h, r.W, r.H, bodies[i], td, dmg)
-			if terr != nil {
+			tdi, dst, _ := tileJob(grid[i], reg, scale, td, out)
+			if _, terr := decodeTile(p.Context(), h, grid[i].W, grid[i].H, bodies[i], tdi, dmg, dst); terr != nil {
 				if p.Context().Err() != nil {
 					p.Fail(terr)
 				} else {
 					terrs[i] = terr
 				}
-				return
 			}
-			out.Insert(tile, r.X0/scale, r.Y0/scale)
 		})
 		perr := p.Err()
 		if perr == nil {
@@ -202,8 +193,11 @@ func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions
 			continue
 		}
 		if terr := terrs[i]; terr != nil {
-			// The whole tile is concealed: whatever its packet walk
-			// salvaged never reached the image.
+			// The whole tile is concealed: it may have failed after its
+			// inverse MCT wrote some rows, so its window is re-zeroed and
+			// whatever its packet walk salvaged never reaches the image.
+			_, dst, _ := tileJob(r, reg, scale, td, out)
+			dst.clear()
 			rep.TotalPackets += dmg.totalPackets
 			rep.LostPackets += dmg.totalPackets
 			rep.TotalBlocks += dmg.totalBlocks

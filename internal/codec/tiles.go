@@ -235,115 +235,78 @@ func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, w
 }
 
 // decodeTiled reassembles a multi-tile stream. Tiles are fully
-// independent and write disjoint regions of the output image, so they
-// drain the same atomic work queue the tiled encoder uses (each tile's
-// own stages then run inline on a single-worker inner pipeline, as on
-// the encode side). Context errors and contained faults pass through
-// unwrapped via the queue's fault latch; per-tile parse failures gain
-// the tile index, earliest tile first.
+// independent and each writes its own disjoint window of the shared
+// output image, so they drain the same atomic work queue the tiled
+// encoder uses (each tile's own stages then run inline on a
+// single-worker inner pipeline, as on the encode side). Context errors
+// and contained faults pass through unwrapped via the queue's fault
+// latch; per-tile parse failures gain the tile index, earliest tile
+// first.
 func decodeTiled(ctx context.Context, h *codestream.Header, bodies [][]byte, dopt DecodeOptions) (*imgmodel.Image, error) {
 	grid := TileGrid(h.W, h.H, h.TileW, h.TileH)
 	if len(bodies) != len(grid) {
 		return nil, fmt.Errorf("codec: %d tile parts for a %d-tile grid", len(bodies), len(grid))
 	}
-	discard := dopt.DiscardLevels
-	if discard < 0 {
-		discard = 0
-	}
-	if discard > h.Levels {
-		discard = h.Levels
-	}
+	discard := dopt.discard(h.Levels)
 	scale := 1 << uint(discard)
 	if discard > 0 && (h.TileW%scale != 0 || h.TileH%scale != 0) {
 		return nil, fmt.Errorf("codec: reduced decode of tiled stream needs tile size divisible by 2^%d", discard)
 	}
+	// Window decode: only tiles intersecting the region are decoded at
+	// all, each writing its overlap. Otherwise every tile writes its
+	// whole reduced extent.
+	reg := Rect{W: (h.W + scale - 1) / scale, H: (h.H + scale - 1) / scale}
+	if dopt.regionSet() {
+		reg = dopt.Region
+	}
+	out := imgmodel.NewImage(reg.W, reg.H, h.NComp, h.Depth)
 	p := NewPipelineContext(ctx, dopt.Workers)
 	defer p.Close()
 	td := dopt
 	td.Workers = 1 // tiles are the parallel unit; inner stages run inline
 	terrs := make([]error, len(grid))
-	firstTileErr := func() error {
-		for i, err := range terrs {
-			if err != nil {
-				return formatErrf(err, "tile %d", i)
-			}
-		}
-		return nil
-	}
-	if dopt.regionSet() {
-		// Window decode: only tiles intersecting the region are decoded
-		// at all; each contributes its cropped overlap.
-		reg := dopt.Region
-		out := imgmodel.NewImage(reg.W, reg.H, h.NComp, h.Depth)
-		p.run(obs.StageTile, 0, len(grid), func(i int) {
-			r := grid[i]
-			tileRect := Rect{X0: r.X0, Y0: r.Y0, W: r.W, H: r.H}
-			if !rectsIntersect(tileRect, reg) {
-				return
-			}
-			lo := Rect{ // overlap in tile-local coordinates
-				X0: maxI(reg.X0-r.X0, 0),
-				Y0: maxI(reg.Y0-r.Y0, 0),
-			}
-			lo.W = minI(reg.X0+reg.W, r.X0+r.W) - (r.X0 + lo.X0)
-			lo.H = minI(reg.Y0+reg.H, r.Y0+r.H) - (r.Y0 + lo.Y0)
-			tdi := td
-			tdi.Region = lo
-			tile, err := decodeTile(p.Context(), h, r.W, r.H, bodies[i], tdi, nil)
-			if err != nil {
-				if passthrough(err) {
-					p.Fail(err)
-				} else {
-					terrs[i] = err
-				}
-				return
-			}
-			crop := tile.SubImage(lo.X0, lo.Y0, lo.W, lo.H)
-			out.Insert(crop, r.X0+lo.X0-reg.X0, r.Y0+lo.Y0-reg.Y0)
-		})
-		if perr := p.Err(); perr != nil {
-			return nil, perr
-		}
-		if err := firstTileErr(); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	rw := (h.W + scale - 1) / scale
-	rh := (h.H + scale - 1) / scale
-	out := imgmodel.NewImage(rw, rh, h.NComp, h.Depth)
 	p.run(obs.StageTile, 0, len(grid), func(i int) {
-		r := grid[i]
-		tile, err := decodeTile(p.Context(), h, r.W, r.H, bodies[i], td, nil)
-		if err != nil {
+		tdi, dst, ok := tileJob(grid[i], reg, scale, td, out)
+		if !ok {
+			return
+		}
+		if _, err := decodeTile(p.Context(), h, grid[i].W, grid[i].H, bodies[i], tdi, nil, dst); err != nil {
 			if passthrough(err) {
 				p.Fail(err)
 			} else {
 				terrs[i] = err
 			}
-			return
 		}
-		out.Insert(tile, r.X0/scale, r.Y0/scale)
 	})
 	if perr := p.Err(); perr != nil {
 		return nil, perr
 	}
-	if err := firstTileErr(); err != nil {
-		return nil, err
+	for i, err := range terrs {
+		if err != nil {
+			return nil, formatErrf(err, "tile %d", i)
+		}
 	}
 	return out, nil
 }
 
-func maxI(a, b int) int {
-	if a > b {
-		return a
+// tileJob places tile r of a decode whose output image out shows the
+// window reg of the decoded-resolution image (scale = 2^DiscardLevels):
+// the tile's options, with a tile-local Region for window decodes, and
+// its target in out. ok is false when the tile does not touch the
+// window.
+func tileJob(r, reg Rect, scale int, dopt DecodeOptions, out *imgmodel.Image) (td DecodeOptions, dst tileTarget, ok bool) {
+	td = dopt
+	// The tile's extent at the decoded resolution; tiles of reduced
+	// decodes sit at multiples of scale.
+	rr := Rect{X0: r.X0 / scale, Y0: r.Y0 / scale, W: (r.W + scale - 1) / scale, H: (r.H + scale - 1) / scale}
+	if !rectsIntersect(rr, reg) {
+		return td, dst, false
 	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
+	lo := Rect{X0: max(reg.X0-rr.X0, 0), Y0: max(reg.Y0-rr.Y0, 0)} // overlap, tile-local
+	lo.W = min(reg.X0+reg.W, rr.X0+rr.W) - (rr.X0 + lo.X0)
+	lo.H = min(reg.Y0+reg.H, rr.Y0+rr.H) - (rr.Y0 + lo.Y0)
+	if dopt.regionSet() {
+		td.Region = lo
 	}
-	return b
+	return td, tileTarget{img: out, src: lo, dx: rr.X0 + lo.X0 - reg.X0, dy: rr.Y0 + lo.Y0 - reg.Y0}, true
 }

@@ -8,6 +8,7 @@ package imgmodel
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // StrideAlign is the row padding granule in 4-byte words (one 128-byte
@@ -85,6 +86,15 @@ func NewFPlane(w, h int) *FPlane {
 	}
 	s := padStride(w)
 	return &FPlane{Data: make([]float32, s*h), W: w, H: h, Stride: s}
+}
+
+// FloatView returns a float plane over p's own memory (same geometry,
+// same stride): stages that turn each integer sample into a float one
+// at the same position, and back, can then run in place. Writing
+// through either plane changes the other.
+func (p *Plane) FloatView() *FPlane {
+	data := unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(p.Data))), len(p.Data))
+	return &FPlane{Data: data, W: p.W, H: p.H, Stride: p.Stride}
 }
 
 // Row returns row r restricted to the plane width.
@@ -174,13 +184,4 @@ func (img *Image) SubImage(x0, y0, w, h int) *Image {
 		}
 	}
 	return out
-}
-
-// Insert copies src into img at (x0, y0).
-func (img *Image) Insert(src *Image, x0, y0 int) {
-	for c, p := range src.Comps {
-		for y := 0; y < p.H; y++ {
-			copy(img.Comps[c].Row(y0 + y)[x0:], p.Row(y))
-		}
-	}
 }

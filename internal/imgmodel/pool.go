@@ -22,20 +22,21 @@ var (
 
 // GetPlane returns a w×h integer plane from the pool (or a fresh one),
 // with unspecified contents inside and outside the live region. Pool
-// hit/miss counts go to the ambient recorder; pipelines that carry an
-// operation recorder use GetPlaneObs.
+// hit/miss counts and the plane's bytes go to the ambient recorder;
+// pipelines that carry an operation recorder use GetPlaneObs.
 func GetPlane(w, h int) *Plane { return GetPlaneObs(w, h, obs.Active()) }
 
 // GetPlaneObs is GetPlane counting against an explicit recorder
 // (nil-safe).
 func GetPlaneObs(w, h int, rec *obs.Recorder) *Plane {
+	s := padStride(w)
+	rec.Add(obs.CtrPlaneBytes, 4*int64(s*h))
 	p, _ := planePool.Get().(*Plane)
 	if p == nil {
 		rec.Add(obs.CtrPoolPlaneMiss, 1)
 		return NewPlane(w, h)
 	}
 	rec.Add(obs.CtrPoolPlaneHit, 1)
-	s := padStride(w)
 	if n := s * h; cap(p.Data) < n {
 		p.Data = make([]int32, n)
 	} else {
@@ -59,13 +60,14 @@ func GetFPlane(w, h int) *FPlane { return GetFPlaneObs(w, h, obs.Active()) }
 
 // GetFPlaneObs is the float analogue of GetPlaneObs.
 func GetFPlaneObs(w, h int, rec *obs.Recorder) *FPlane {
+	s := padStride(w)
+	rec.Add(obs.CtrPlaneBytes, 4*int64(s*h))
 	p, _ := fplanePool.Get().(*FPlane)
 	if p == nil {
 		rec.Add(obs.CtrPoolPlaneMiss, 1)
 		return NewFPlane(w, h)
 	}
 	rec.Add(obs.CtrPoolPlaneHit, 1)
-	s := padStride(w)
 	if n := s * h; cap(p.Data) < n {
 		p.Data = make([]float32, n)
 	} else {

@@ -1,7 +1,11 @@
-// Package obs is the encoder's observability layer: per-stage,
-// per-worker spans, work-queue and coder counters, and duration
-// histograms, recorded behind a single global sink that costs nearly
-// nothing when disabled.
+// Package obs is the codec's observability layer: per-stage,
+// per-worker spans, work-queue, coder and plane-memory counters, and
+// duration histograms. Each encode or decode records into the
+// Recorder of its own operation (WithOperation, resolved once per
+// operation by Current), else into the ambient recorder installed by
+// Enable; every recorder rolls into the process-wide aggregate
+// Registry that /metrics exports. Recording costs nearly nothing when
+// no recorder is present.
 //
 // The paper's core evidence is an execution-time breakdown per pipeline
 // stage (Section 5, Table 2 / Figure 6) — it is how Kang & Bader found
@@ -112,6 +116,7 @@ const (
 	CtrSchedAdmitWaits                // operations that waited in the scheduler admission queue
 	CtrResyncs                        // SOP/SOT resyncs performed by best-effort decodes
 	CtrConcealedBlocks                // code blocks concealed as zeros by best-effort decodes
+	CtrPlaneBytes                     // coefficient and float plane bytes acquired, pooled or fresh
 	numCounters
 )
 
@@ -129,6 +134,7 @@ var counterNames = [numCounters]string{
 	"ht_blocks", "ht_bytes",
 	"sched_self_claims", "sched_pool_claims", "sched_admit_waits",
 	"resync", "concealed_blocks",
+	"plane_bytes",
 }
 
 // KernelCounter maps a simd kernel-set name ("scalar", "sse2", "avx2")

@@ -164,7 +164,10 @@ func QuantizeRow(dst []int32, src []float32, inv float32) {
 
 // DequantRow is the inverse of QuantizeRow: midpoint reconstruction
 // dst[i] = (src[i] ± 0.5) * delta with the sign of src[i], and exactly
-// 0 where src[i] is 0. len(dst) must be at least len(src).
+// 0 where src[i] is 0. len(dst) must be at least len(src). dst may
+// share memory with src element for element (every kernel loads a lane
+// group before storing it), which the decoder uses to dequantize in
+// place.
 func DequantRow(dst []float32, src []int32, delta float32) {
 	i := 0
 	if f := active.Load().dequantF32; f != nil && len(dst) >= len(src) {
@@ -175,7 +178,8 @@ func DequantRow(dst []float32, src []int32, delta float32) {
 
 // RoundAddRow computes dst[i] = round(src[i] + off) with halves rounded
 // away from zero — the inverse level shift of a float component decoded
-// without the color transform. len(dst) must be at least len(src).
+// without the color transform. len(dst) must be at least len(src); dst
+// may share memory with src element for element, as in DequantRow.
 func RoundAddRow(dst []int32, src []float32, off float32) {
 	i := 0
 	if f := active.Load().roundAddF32; f != nil && len(dst) >= len(src) {
@@ -217,7 +221,9 @@ type ICTInvParams struct {
 
 // InverseICTRow applies the merged inverse irreversible color transform
 // + level unshift: float (Y,Cb,Cr) rows in, rounded integer (R,G,B)
-// rows out, halves rounded away from zero.
+// rows out, halves rounded away from zero. r, g and b may share memory
+// with y, cb and cr element for element: every kernel loads all three
+// inputs of a lane group before storing its outputs.
 func InverseICTRow(y, cb, cr []float32, r, g, b []int32, p *ICTInvParams) {
 	i := 0
 	n := len(y)

@@ -201,13 +201,15 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeSteadyStateAllocs pins pool reuse across the new decode
+// TestDecodeSteadyStateAllocs pins pool reuse across the decode
 // stages: after a warm-up decode has populated the plane and
 // stripe-scratch arenas, a steady-state decode allocates only per-run
-// transients (the output image, packet/block accumulators, per-block
-// codeword copies) — the coefficient planes and the inverse DWT
-// scratch come from the arenas. The bounds have ~1.5x headroom over
-// measured values; a failure means a decode stage stopped recycling.
+// transients (packet/block accumulators, Tier-1 coder state) and its
+// output. A full decode's output is its coefficient planes, allocated
+// fresh and handed to the caller; the lossy path dequantizes in place
+// in those planes, and the inverse DWT scratch comes from the arenas.
+// The bounds have ~1.5x headroom over measured values; a failure means
+// a decode stage stopped recycling.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	img := TestImage(192, 160, 9)
 	for _, tc := range []struct {
