@@ -410,14 +410,14 @@ func BenchmarkDecodeParallelWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkMixedConcurrency prices the shared scheduler against
-// per-call worker pools under concurrent mixed load: at concurrency c,
-// each iteration runs c operations at once — a rotation of lossless
-// encode, lossy encode, and decode, each asking for 4 workers. The
-// shared rows multiplex every operation onto the process-default
-// scheduler (O(GOMAXPROCS + c) goroutines); the percall rows spawn
-// per-operation pools (O(c×workers)). The goroutine high-water mark is
-// reported as a metric so the bound is visible in the JSON artifact.
+// BenchmarkMixedConcurrency prices the shared scheduler under
+// concurrent mixed load: at concurrency c, each iteration runs c
+// operations at once — a rotation of lossless encode, lossy encode, and
+// decode, each asking for 4 workers — multiplexed onto the
+// process-default scheduler (O(GOMAXPROCS + c) goroutines). The
+// goroutine high-water mark is reported as a metric so the bound is
+// visible in the JSON artifact. Rows keep their "shared/" prefix so
+// they line up with the recorded trajectory.
 func BenchmarkMixedConcurrency(b *testing.B) {
 	img := benchDial()
 	lossless := Options{Lossless: true}
@@ -427,64 +427,57 @@ func BenchmarkMixedConcurrency(b *testing.B) {
 		b.Fatal(err)
 	}
 	const opWorkers = 4
-	for _, mode := range []struct {
-		name string
-		ctx  context.Context
-	}{
-		{"shared", context.Background()},
-		{"percall", WithPerCallPool(context.Background())},
-	} {
-		for _, c := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/c-%d", mode.name, c), func(b *testing.B) {
-				b.SetBytes(int64(c * img.W * img.H * 3))
-				b.ReportAllocs()
-				var hwm atomic.Int64
-				stop := make(chan struct{})
-				var sampler sync.WaitGroup
-				sampler.Add(1)
-				go func() {
-					defer sampler.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-							if g := int64(runtime.NumGoroutine()); g > hwm.Load() {
-								hwm.Store(g)
-							}
-							time.Sleep(200 * time.Microsecond)
+	ctx := context.Background()
+	for _, c := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("shared/c-%d", c), func(b *testing.B) {
+			b.SetBytes(int64(c * img.W * img.H * 3))
+			b.ReportAllocs()
+			var hwm atomic.Int64
+			stop := make(chan struct{})
+			var sampler sync.WaitGroup
+			sampler.Add(1)
+			go func() {
+				defer sampler.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						if g := int64(runtime.NumGoroutine()); g > hwm.Load() {
+							hwm.Store(g)
 						}
+						time.Sleep(200 * time.Microsecond)
 					}
-				}()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for k := 0; k < c; k++ {
-						wg.Add(1)
-						go func(k int) {
-							defer wg.Done()
-							var err error
-							switch k % 3 {
-							case 0:
-								_, _, err = EncodeParallelContext(mode.ctx, img, lossless, opWorkers)
-							case 1:
-								_, _, err = EncodeParallelContext(mode.ctx, img, lossy, opWorkers)
-							default:
-								_, err = DecodeWithContext(mode.ctx, data, DecodeOptions{Workers: opWorkers})
-							}
-							if err != nil {
-								b.Error(err)
-							}
-						}(k)
-					}
-					wg.Wait()
 				}
-				b.StopTimer()
-				close(stop)
-				sampler.Wait()
-				b.ReportMetric(float64(hwm.Load()), "goroutine-hwm")
-			})
-		}
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for k := 0; k < c; k++ {
+					wg.Add(1)
+					go func(k int) {
+						defer wg.Done()
+						var err error
+						switch k % 3 {
+						case 0:
+							_, _, err = EncodeParallelContext(ctx, img, lossless, opWorkers)
+						case 1:
+							_, _, err = EncodeParallelContext(ctx, img, lossy, opWorkers)
+						default:
+							_, err = DecodeWithContext(ctx, data, DecodeOptions{Workers: opWorkers})
+						}
+						if err != nil {
+							b.Error(err)
+						}
+					}(k)
+				}
+				wg.Wait()
+			}
+			b.StopTimer()
+			close(stop)
+			sampler.Wait()
+			b.ReportMetric(float64(hwm.Load()), "goroutine-hwm")
+		})
 	}
 }
 

@@ -61,7 +61,6 @@ func main() {
 	conc := flag.Int("c", minInt(runtime.GOMAXPROCS(0), 4), "concurrent operations")
 	size := flag.Int("size", 384, "base image edge in pixels")
 	opworkers := flag.Int("opworkers", runtime.GOMAXPROCS(0), "pipeline workers inside each operation")
-	shared := flag.Bool("shared", true, "run operations on the shared process-wide scheduler (false: per-call worker pools)")
 	names := flag.String("scenarios", "thumbnail,archival,window,ht", "comma-separated scenario mix (thumbnail, archival, window, ht, corrupt)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :0)")
 	hold := flag.Duration("hold", 0, "keep serving -metrics this long after the run")
@@ -104,19 +103,10 @@ func main() {
 		fail(s.setup(*size, *opworkers))
 	}
 
-	// The A/B switch for DESIGN.md §12: by default every operation's
-	// stages multiplex onto the shared process-wide scheduler; -shared=false
-	// restores per-call pools, where each operation spawns its own
-	// `opworkers` goroutines (c×W total — the oversubscription the
-	// goroutine high-water mark below makes visible).
-	baseCtx := context.Background()
-	if !*shared {
-		baseCtx = j2kcell.WithPerCallPool(baseCtx)
-	}
-
 	// Goroutine high-water mark, sampled while the run is in flight:
-	// the shared scheduler should hold this at O(GOMAXPROCS + c)
-	// regardless of opworkers, where per-call pools grow with c×W.
+	// every multi-worker operation multiplexes onto the shared
+	// process-wide scheduler (DESIGN.md §12), which should hold this at
+	// O(GOMAXPROCS + c) regardless of opworkers.
 	gBase := runtime.NumGoroutine()
 	gHWM := int64(gBase)
 	hwmStop := make(chan struct{})
@@ -163,7 +153,7 @@ func main() {
 				// actually see both variants regardless of the mix width.
 				si := i % len(mix)
 				s := mix[si]
-				ctx, cancel := context.WithTimeout(baseCtx, *opTimeout)
+				ctx, cancel := context.WithTimeout(context.Background(), *opTimeout)
 				opCtx, op := obs.WithOperation(ctx, "load:"+s.name)
 				err := s.run(opCtx, i/len(mix))
 				op.Finish()
@@ -195,23 +185,17 @@ func main() {
 	hwmDone.Wait()
 
 	errTotal := int64(0)
-	mode := "shared scheduler"
-	if !*shared {
-		mode = "per-call pools"
-	}
-	fmt.Printf("\n%d operations in %v (%.1f ops/s, concurrency %d, opworkers %d, %s)\n",
-		*n, elapsed.Round(time.Millisecond), float64(*n)/elapsed.Seconds(), *conc, *opworkers, mode)
+	fmt.Printf("\n%d operations in %v (%.1f ops/s, concurrency %d, opworkers %d, shared scheduler)\n",
+		*n, elapsed.Round(time.Millisecond), float64(*n)/elapsed.Seconds(), *conc, *opworkers)
 	for si, s := range mix {
 		e := tallies[si].errs.Load()
 		errTotal += e
 		fmt.Printf("  %-10s %4d ops  %d errors\n", s.name, tallies[si].ops.Load(), e)
 	}
 	fmt.Printf("goroutines: high-water %d (baseline %d)\n", atomic.LoadInt64(&gHWM), gBase)
-	if *shared {
-		st := j2kcell.SchedulerStats()
-		fmt.Printf("scheduler: %d-wide pool, %d lanes opened, %d pool claims, %d lane switches, %d admit waits, %d rejects\n",
-			st.Workers, st.LanesOpened, st.PoolClaims, st.LaneSwitches, st.AdmitWaits, st.AdmitRejects)
-	}
+	st := j2kcell.SchedulerStats()
+	fmt.Printf("scheduler: %d-wide pool, %d lanes opened, %d pool claims, %d lane switches, %d admit waits, %d rejects\n",
+		st.Workers, st.LanesOpened, st.PoolClaims, st.LaneSwitches, st.AdmitWaits, st.AdmitRejects)
 	fmt.Println()
 	fmt.Print(obs.Aggregate().SLOTable())
 
@@ -231,7 +215,7 @@ func main() {
 				hasCorrupt = true
 			}
 		}
-		fail(runSelfcheck(boundAddr, *shared && *opworkers > 1, hasCorrupt))
+		fail(runSelfcheck(boundAddr, *opworkers > 1, hasCorrupt))
 	}
 	if *hold > 0 && boundAddr != "" {
 		fmt.Printf("holding %v for scrapes of http://%s/metrics\n", *hold, boundAddr)
@@ -246,11 +230,12 @@ func main() {
 // text exposition with the library's minimal scraper, and verifies
 // the run left a coherent trail: some operations completed
 // (j2k_operations_total > 0) and the SLO histograms observed them.
-// When the run used the shared scheduler (requireSched), the scheduler
-// gauges must be exported and its lanes-opened counter nonzero. When
-// the mix included the corrupt scenario (requireResilient), the
-// resilience counters must show that damage was actually encountered
-// and contained: j2k_resync_total and j2k_concealed_blocks_total > 0.
+// When the run used multi-worker operations (requireSched), which
+// always run on the shared scheduler, the scheduler gauges must be
+// exported and its lanes-opened counter nonzero. When the mix
+// included the corrupt scenario (requireResilient), the resilience
+// counters must show that damage was actually encountered and
+// contained: j2k_resync_total and j2k_concealed_blocks_total > 0.
 func runSelfcheck(addr string, requireSched, requireResilient bool) error {
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {

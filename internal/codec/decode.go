@@ -148,7 +148,7 @@ func DecodeWithContext(ctx context.Context, data []byte, dopt DecodeOptions) (im
 		img, _, err := DecodeResilientContext(ctx, data, dopt)
 		return img, err
 	}
-	rec := obs.Current(ctx)
+	rec := obs.FromContext(ctx)
 	// SLO envelope. The operation class (lossless/tiled/HT bits) is only
 	// known once the main header parses, so it is latched below;
 	// registered before containAPIFault (LIFO) so a contained panic is
@@ -292,7 +292,7 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 			planes[c] = imgmodel.NewPlane(rw, rh)
 			p.rec.Add(obs.CtrPlaneBytes, 4*int64(len(planes[c].Data)))
 		} else {
-			planes[c] = imgmodel.GetPlaneObs(rw, rh, p.rec)
+			planes[c] = imgmodel.GetPlane(rw, rh, p.rec)
 		}
 	}
 	if adopt {
@@ -563,17 +563,17 @@ func decodeBlocks(p *Pipeline, h *codestream.Header, bands []dwt.Band, tw, th in
 	// errors (partitions after the stop never ran, so their slots are
 	// nil, not failures); partitions are contiguous in task order, so
 	// the first non-nil slot is still the earliest failing block.
-	parts, partCost := partitionDecodeTasks(p.rec, tasks, p.workers, decodeCostFor(mode))
+	parts := partitionDecodeTasks(p.rec, tasks, p.workers, decodeCostFor(mode))
 	st := obs.StageT1
 	if mode.IsHT() {
 		st = obs.StageT1HT
 	}
 	if dmg != nil {
 		dmg.totalBlocks = len(tasks)
-		return decodeBlocksBestEffort(p, st, h, bands, tw, th, tasks, planes, parts, partCost, decodeOne, dmg)
+		return decodeBlocksBestEffort(p, st, h, bands, tw, th, tasks, planes, parts, decodeOne, dmg)
 	}
 	errs := make([]error, len(parts))
-	p.runCost(st, 0, len(parts), partCost, func(i int) {
+	p.run(st, 0, len(parts), func(i int) {
 		for t := parts[i].lo; t < parts[i].hi; t++ {
 			if err := decodeOne(tasks[t]); err != nil {
 				errs[i] = err
@@ -609,7 +609,7 @@ func decodeBlocks(p *Pipeline, h *codestream.Header, bands []dwt.Band, tw, th in
 // tile. Partitions own disjoint task ranges writing disjoint plane
 // regions, so concealment never races with live decoding.
 func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, bands []dwt.Band, tw, th int,
-	tasks []blockTask, planes []*imgmodel.Plane, parts []decodePart, partCost int64, decodeOne func(blockTask) error, dmg *tileDamage) error {
+	tasks []blockTask, planes []*imgmodel.Plane, parts []decodePart, decodeOne func(blockTask) error, dmg *tileDamage) error {
 	conceal := func(t int, cause string) {
 		tk := tasks[t]
 		pl := planes[tk.c]
@@ -626,7 +626,7 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 		})
 	}
 	// next[i] is partition i's progress cursor. Within one run only the
-	// worker holding partition i advances it, and runCost's completion
+	// worker holding partition i advances it, and run's completion
 	// orders every access across reruns.
 	next := make([]int, len(parts))
 	for i := range parts {
@@ -637,7 +637,7 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 	// demotes at most one block, so tasks+parts bounds any terminating
 	// sequence; the slack absorbs faults that land on done partitions.
 	for attempt := 0; attempt <= len(tasks)+len(parts)+4; attempt++ {
-		p.runCost(st, 0, len(parts), partCost, func(i int) {
+		p.run(st, 0, len(parts), func(i int) {
 			for next[i] < parts[i].hi {
 				t := next[i]
 				if err := decodeOne(tasks[t]); err != nil {

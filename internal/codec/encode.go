@@ -76,22 +76,16 @@ func EncodeContext(ctx context.Context, img *imgmodel.Image, opt Options) (*Resu
 // encoder both call this, which is what makes their outputs
 // byte-identical by construction.
 func Finish(img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block) *Result {
-	return FinishRD(img, opt, jobs, blocks, nil, 1)
+	return finishRD(nil, img, opt, jobs, blocks, nil, 1)
 }
 
-// FinishRD is Finish with two escape hatches for the parallel encoders:
-// a pre-built R-D ladder set (rd[i] for blocks[i]; nil means build it
-// here) whose hulls may already have been computed inside the Tier-1
-// block jobs, and a worker count for the PCRD truncation scans. The
-// result is byte-identical to Finish for every combination — hulls and
+// finishRD is Finish for the parallel encoders, recording against the
+// operation recorder rec (nil-safe), with a pre-built R-D ladder set
+// (rd[i] for blocks[i]; nil means build it here) whose hulls may
+// already have been computed inside the Tier-1 block jobs, and a
+// worker count for the PCRD truncation scans. The result is
+// byte-identical to Finish for every combination — hulls and
 // selections are deterministic functions of the ladders.
-func FinishRD(img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD, workers int) *Result {
-	return finishRD(obs.Active(), img, opt, jobs, blocks, rd, workers)
-}
-
-// finishRD is FinishRD recording against an explicit recorder: the
-// pipelined entry points pass the operation recorder they resolved
-// from the context, the public wrappers the ambient one.
 func finishRD(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD, workers int) *Result {
 	opt = opt.WithDefaults(img.W, img.H)
 	w, h := img.W, img.H
@@ -184,14 +178,6 @@ func FullKeep(blocks []*t1.Block) []int {
 	return keep
 }
 
-// AllocatePasses runs PCRD-opt against the byte budget implied by
-// opt.Rate, reserving an estimate for headers plus any extra deficit a
-// previous assembly round measured.
-func AllocatePasses(blocks []*t1.Block, jobs []BlockJob, img *imgmodel.Image, opt Options, extraOverhead int) []int {
-	keeps := AllocateLayers(blocks, jobs, img, opt, []float64{opt.Rate}, extraOverhead)
-	return keeps[0]
-}
-
 // LadderOf builds the rate-distortion ladder of one coded block:
 // cumulative segment bytes and cumulative distortion reduction after
 // each pass. The hull is left uncomputed; call ComputeHull (cheap,
@@ -222,16 +208,12 @@ func BuildLadders(blocks []*t1.Block) []rate.BlockRD {
 	return rd
 }
 
-// AllocateLayers runs PCRD-opt once per quality layer against the
+// allocateLayersRD runs PCRD-opt once per quality layer against the
 // cumulative rate targets, returning per-layer cumulative pass counts
-// (monotone per block, as layer l extends layer l-1).
-func AllocateLayers(blocks []*t1.Block, jobs []BlockJob, img *imgmodel.Image, opt Options, cumRates []float64, extraOverhead int) [][]int {
-	return allocateLayersRD(obs.Active(), BuildLadders(blocks), img, opt, cumRates, extraOverhead, 1)
-}
-
-// allocateLayersRD is the ladder-level core of AllocateLayers. The
-// ladders' hulls are computed on first use (possibly already cached by
-// the Tier-1 jobs) and reused across layers and overhead retries; the
+// (monotone per block, as layer l extends layer l-1). extraOverhead is
+// the header deficit a previous assembly round measured. The ladders'
+// hulls are computed on first use (possibly already cached by the
+// Tier-1 jobs) and reused across layers and overhead retries; the
 // per-layer truncation search fans out over `workers`. Selections are
 // identical for every worker count and hull provenance.
 func allocateLayersRD(rec *obs.Recorder, rd []rate.BlockRD, img *imgmodel.Image, opt Options, cumRates []float64, extraOverhead, workers int) [][]int {
@@ -254,7 +236,7 @@ func allocateLayersRD(rec *obs.Recorder, rd []rate.BlockRD, img *imgmodel.Image,
 				overhead += extraOverhead
 			}
 			budget := int(r*float64(raw)) - overhead
-			keeps[l] = rate.AllocateParallelObs(rec, rd, budget, workers)
+			keeps[l] = rate.AllocateParallel(rec, rd, budget, workers)
 		}
 		// Layers are embedded: each extends the previous selection.
 		if prev != nil {

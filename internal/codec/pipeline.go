@@ -49,12 +49,13 @@ type Pipeline struct {
 	workers int
 	ctx     context.Context
 	done    <-chan struct{} // ctx.Done(), cached (nil for Background)
-	rec     *obs.Recorder   // resolved once: ctx op recorder, else ambient, else nil
+	rec     *obs.Recorder   // the ctx's operation recorder, resolved once (nil when none)
 
-	// Shared-scheduler binding (DESIGN.md §12): when sched is non-nil,
-	// multi-worker stages are submitted to the process-wide pool on this
-	// operation's lane instead of spawning private goroutines. lane is
-	// opened lazily by the first such stage and closed by Close.
+	// Shared-scheduler binding (DESIGN.md §12): every multi-worker
+	// pipeline has one, and its stages are submitted to the pool on this
+	// operation's lane; sched is nil only for single-worker pipelines,
+	// which run inline. lane is opened lazily by the first pooled stage
+	// and closed by Close.
 	sched *Scheduler
 	lane  *schedLane
 
@@ -81,11 +82,10 @@ func NewPipelineContext(ctx context.Context, workers int) *Pipeline {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Resolve the recorder once per operation: the context's per-op
-	// recorder (obs.WithOperation) wins, else the ambient one; every
+	// Resolve the operation recorder (obs.WithOperation) once; every
 	// stage hook below then pays a plain nil check, not a context walk.
 	return &Pipeline{
-		workers: workers, ctx: ctx, done: ctx.Done(), rec: obs.Current(ctx),
+		workers: workers, ctx: ctx, done: ctx.Done(), rec: obs.FromContext(ctx),
 		sched: schedulerFor(ctx, workers),
 	}
 }
@@ -206,28 +206,13 @@ const stripeRows = 64
 // so stages can short-circuit; a stopped pipeline drains subsequent
 // run calls immediately.
 func (p *Pipeline) run(st obs.Stage, arg int32, n int, fn func(i int)) error {
-	return p.runCost(st, arg, n, int64(n), fn)
-}
-
-// runCost is run with an explicit modeled stage cost (arbitrary units,
-// at least n): the shared scheduler's weighted policy uses it to prefer
-// lanes with the least remaining work, so stages with strongly uneven
-// job sizes (the partitioned Tier-1 decode) should pass their modeled
-// total instead of the default job count. Cost never affects which jobs
-// run or their order within a claim — only cross-lane preference — so
-// it cannot change output.
-func (p *Pipeline) runCost(st obs.Stage, arg int32, n int, cost int64, fn func(i int)) error {
 	if n <= 0 || p.stopped() {
 		return p.Err()
 	}
 	rec := p.rec
 	rec.Add(obs.CtrQueueRuns, 1)
 	rec.Add(obs.CtrQueueJobs, int64(n))
-	nw := p.workers
-	if nw > n {
-		nw = n
-	}
-	if nw <= 1 {
+	if p.sched == nil || n == 1 {
 		ln := rec.Acquire()
 		for i := 0; i < n && !p.stopped(); i++ {
 			ln.Claim()
@@ -241,36 +226,11 @@ func (p *Pipeline) runCost(st obs.Stage, arg int32, n int, cost int64, fn func(i
 	// Shared-pool path (DESIGN.md §12): publish the stage on this
 	// operation's lane so pool workers can help drain it; the calling
 	// goroutine drains too, so the stage completes even when the pool
-	// is saturated elsewhere. Per-call goroutines below remain for
-	// unscheduled pipelines (WithPerCallPool, J2K_PERCALL=1).
-	if p.sched != nil {
-		if p.lane == nil {
-			p.lane = p.sched.openLane()
-		}
-		return p.runShared(st, arg, n, cost, fn)
+	// is saturated elsewhere.
+	if p.lane == nil {
+		p.lane = p.sched.openLane()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func(w int) {
-			defer wg.Done()
-			ln := rec.Acquire()
-			defer ln.Release()
-			for !p.stopped() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				ln.Claim()
-				sp := ln.Begin(st, arg, int32(i))
-				p.job(st, arg, w, i, fn)
-				sp.End()
-			}
-		}(w)
-	}
-	wg.Wait()
-	return p.Err()
+	return p.runShared(st, arg, n, fn)
 }
 
 // Scratch pools for stripe-sized transients (DWT aux rows, horizontal
@@ -339,7 +299,7 @@ func (p *Pipeline) MCTInt(img *imgmodel.Image, opt Options) []*imgmodel.Plane {
 	w, h := img.W, img.H
 	planes := make([]*imgmodel.Plane, len(img.Comps))
 	for c := range planes {
-		planes[c] = imgmodel.GetPlaneObs(w, h, p.rec)
+		planes[c] = imgmodel.GetPlane(w, h, p.rec)
 	}
 	useMCT := len(planes) == 3
 	p.run(obs.StageMCT, 0, stripes(h), func(s int) {
@@ -367,7 +327,7 @@ func (p *Pipeline) MCTFloat(img *imgmodel.Image, opt Options) []*imgmodel.FPlane
 	w, h := img.W, img.H
 	fplanes := make([]*imgmodel.FPlane, len(img.Comps))
 	for c := range fplanes {
-		fplanes[c] = imgmodel.GetFPlaneObs(w, h, p.rec)
+		fplanes[c] = imgmodel.GetFPlane(w, h, p.rec)
 	}
 	useMCT := len(fplanes) == 3
 	p.run(obs.StageMCT, 0, stripes(h), func(s int) {
@@ -502,7 +462,7 @@ func (p *Pipeline) Tier1Int(planes []*imgmodel.Plane, jobs []BlockJob, mode t1.M
 			j.Band.Orient, mode, j.Gain)
 		if rd != nil {
 			rd[i] = LadderOf(blocks[i])
-			rd[i].ComputeHullObs(p.rec)
+			rd[i].ComputeHull(p.rec)
 		}
 	})
 	return blocks
@@ -528,7 +488,7 @@ func (p *Pipeline) Tier1Float(fplanes []*imgmodel.FPlane, jobs []BlockJob, opt O
 		putI32(buf)
 		if rd != nil {
 			rd[i] = LadderOf(blocks[i])
-			rd[i].ComputeHullObs(p.rec)
+			rd[i].ComputeHull(p.rec)
 		}
 	})
 	return blocks
@@ -543,7 +503,7 @@ func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*im
 	bands := dwt.Layout(w, h, opt.Levels)
 	planes := make([]*imgmodel.Plane, len(fplanes))
 	for c := range planes {
-		planes[c] = imgmodel.GetPlaneObs(w, h, p.rec)
+		planes[c] = imgmodel.GetPlane(w, h, p.rec)
 	}
 	// One job per (component, band); the subbands tile the plane, so
 	// every live sample is written.
@@ -577,7 +537,7 @@ func EncodeParallel(img *imgmodel.Image, opt Options, workers int) (*Result, err
 // unwrapped. A panic inside any stage worker is contained into a
 // *FaultError instead of crossing the API.
 func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options, workers int) (res *Result, err error) {
-	rec := obs.Current(ctx)
+	rec := obs.FromContext(ctx)
 	// SLO envelope: registered before containAPIFault so it runs after
 	// it (defers are LIFO) and sees the error a contained panic was
 	// converted into. The tiled path delegates to EncodeTiledContext,
@@ -642,7 +602,7 @@ func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options
 	_, jobs := PlanBlocks(img.W, img.H, len(img.Comps), opt)
 	// Rate-constrained encodes build each block's R-D ladder and convex
 	// hull inside its Tier-1 job, leaving only the λ search sequential
-	// (and even its truncation scans fan out inside FinishRD).
+	// (and even its truncation scans fan out inside finishRD).
 	var rd []rate.BlockRD
 	if !opt.Lossless && opt.layerRates() != nil {
 		rd = make([]rate.BlockRD, len(jobs))

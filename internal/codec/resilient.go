@@ -44,7 +44,7 @@ func DecodeResilient(data []byte, dopt DecodeOptions) (*imgmodel.Image, *DamageR
 // context cancellation and admission-control rejection (ErrOverloaded),
 // in which case the image and report are nil.
 func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions) (img *imgmodel.Image, rep *DamageReport, err error) {
-	rec := obs.Current(ctx)
+	rec := obs.FromContext(ctx)
 	var start time.Time
 	if rec != nil {
 		start = time.Now()

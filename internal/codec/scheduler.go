@@ -2,21 +2,20 @@
 // scheduling, and admission control (DESIGN.md §12).
 //
 // The paper keeps a fixed set of hardware workers (the SPEs) saturated
-// by one global work queue; the per-call Pipeline honors that *within*
-// one operation but not across operations — every concurrent encode or
-// decode used to spin up its own `workers` goroutines, so a server
-// running c operations oversubscribed GOMAXPROCS with c×workers
-// goroutines. The Scheduler restores the paper's shape process-wide:
-// one pool of ~GOMAXPROCS workers multiplexes the job streams (lanes)
-// of all in-flight operations.
+// by one global work queue. The Scheduler gives the Go port the same
+// shape process-wide: one pool of ~GOMAXPROCS workers multiplexes the
+// job streams (lanes) of all in-flight operations, so c concurrent
+// operations never cost c×workers goroutines. It is the only
+// execution engine for multi-worker pipelines; single-worker
+// pipelines run their stages inline.
 //
 // Key invariants:
 //
 //   - Byte identity: a lane's stage is the same atomically-claimed job
-//     queue run() always used; only the identity of the goroutines
+//     queue the inline path drains; only the identity of the goroutines
 //     draining it changes. Stage barriers and job bodies are untouched,
-//     so per-operation output is byte-identical to the per-call path at
-//     every pool width (DESIGN.md §5, extended pool-wide in §12).
+//     so per-operation output is byte-identical to the sequential
+//     encoder at every pool width (DESIGN.md §5, extended in §12).
 //   - No cross-op stalls: pool workers never block on a lane. A
 //     canceled or faulted operation flips its own pipeline's stop latch;
 //     its remaining claims drain to no-ops and its stage closes, while
@@ -33,7 +32,6 @@ package codec
 import (
 	"context"
 	"errors"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,63 +45,38 @@ import (
 // not started; callers should shed load or retry with backoff.
 var ErrOverloaded = errors.New("codec: scheduler overloaded: admission queue full")
 
-// schedCtxKey carries an explicit scheduler binding on a context. The
-// stored value may be a nil *Scheduler, which means "per-call pools" —
-// distinct from an absent key, which means "use the process default".
+// schedCtxKey carries an explicit scheduler binding on a context; an
+// absent key or a nil value means "use the process default".
 type schedCtxKey struct{}
 
 // WithScheduler binds every operation started under ctx to s. Passing
-// nil selects per-call worker pools (the pre-scheduler behavior).
+// nil selects the process default scheduler.
 func WithScheduler(ctx context.Context, s *Scheduler) context.Context {
 	return context.WithValue(ctx, schedCtxKey{}, s)
 }
 
-// WithPerCallPool opts operations under ctx out of the shared
-// scheduler: each pipeline spawns its own worker goroutines, as before
-// the shared pool existed. Benchmarks use it to A/B the two modes.
-func WithPerCallPool(ctx context.Context) context.Context {
-	return WithScheduler(ctx, nil)
-}
-
 // schedulerFor resolves the scheduler for an operation: an explicit
-// context binding wins (possibly nil = per-call), otherwise the process
-// default unless J2K_PERCALL=1. Single-worker pipelines never touch
-// the scheduler — their stages run inline.
+// context binding wins, otherwise the process default. Single-worker
+// pipelines never touch the scheduler — their stages run inline.
 func schedulerFor(ctx context.Context, workers int) *Scheduler {
-	if workers <= 1 || ctx == nil {
+	if workers <= 1 {
 		return nil
 	}
-	if v, ok := ctx.Value(schedCtxKey{}).(*Scheduler); ok {
-		return v
-	}
-	if perCallEnv {
-		return nil
+	if ctx != nil {
+		if s, _ := ctx.Value(schedCtxKey{}).(*Scheduler); s != nil {
+			return s
+		}
 	}
 	return DefaultScheduler()
 }
-
-// SchedPolicy selects how pool workers pick the next lane to serve.
-type SchedPolicy int
-
-const (
-	// SchedRoundRobin rotates over runnable lanes, one claim batch per
-	// visit — every lane gets pool capacity in turn regardless of size.
-	SchedRoundRobin SchedPolicy = iota
-	// SchedWeighted prefers the runnable lane with the least modeled
-	// remaining work (shortest-remaining-first over the PR 6/PR 7 decode
-	// cost model, job count where no model applies), which bounds small
-	// operations' latency under a heavy mix.
-	SchedWeighted
-)
 
 // SchedConfig configures a Scheduler. Zero fields take defaults:
 // Workers = GOMAXPROCS, MaxActive = 8×Workers (min 8), MaxQueue =
 // 4×MaxActive.
 type SchedConfig struct {
-	Workers   int         // pool width (goroutines when any lane is open)
-	MaxActive int         // operations admitted concurrently
-	MaxQueue  int         // operations waiting for admission before ErrOverloaded
-	Policy    SchedPolicy // lane-selection policy for pool workers
+	Workers   int // pool width (goroutines when any lane is open)
+	MaxActive int // operations admitted concurrently
+	MaxQueue  int // operations waiting for admission before ErrOverloaded
 }
 
 // Scheduler is a process-wide pool of workers multiplexing the job
@@ -116,7 +89,6 @@ type Scheduler struct {
 	width     int
 	maxActive int
 	maxQueue  int
-	policy    SchedPolicy
 
 	mu      sync.Mutex
 	cond    *sync.Cond // pool workers wait here for runnable lanes
@@ -155,7 +127,6 @@ func NewScheduler(cfg SchedConfig) *Scheduler {
 		width:     cfg.Workers,
 		maxActive: cfg.MaxActive,
 		maxQueue:  cfg.MaxQueue,
-		policy:    cfg.Policy,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -164,22 +135,13 @@ func NewScheduler(cfg SchedConfig) *Scheduler {
 var (
 	defaultSchedOnce sync.Once
 	defaultSched     *Scheduler
-	// J2K_PERCALL=1 restores the pre-scheduler behavior (each operation
-	// spawns its own worker goroutines) process-wide; J2K_SCHED=weighted
-	// flips the default pool to shortest-remaining-work lane selection.
-	perCallEnv  = os.Getenv("J2K_PERCALL") == "1"
-	weightedEnv = os.Getenv("J2K_SCHED") == "weighted"
 )
 
 // DefaultScheduler returns the process-wide shared scheduler,
 // constructing it (and registering its /metrics gauges) on first use.
 func DefaultScheduler() *Scheduler {
 	defaultSchedOnce.Do(func() {
-		pol := SchedRoundRobin
-		if weightedEnv {
-			pol = SchedWeighted
-		}
-		defaultSched = NewScheduler(SchedConfig{Policy: pol})
+		defaultSched = NewScheduler(SchedConfig{})
 		defaultSched.registerMetrics()
 	})
 	return defaultSched
@@ -322,9 +284,9 @@ func (s *Scheduler) Admit(ctx context.Context, rec *obs.Recorder) (release func(
 }
 
 // admitOp is the entry-point admission hook: resolve the operation's
-// scheduler and reserve a slot on it. Operations without a scheduler
-// (single worker, per-call mode) pass through untouched with a no-op
-// release. The returned release must be called exactly once.
+// scheduler and reserve a slot on it. Single-worker operations run
+// inline without a scheduler and pass through with a no-op release.
+// The returned release must be called exactly once.
 func admitOp(ctx context.Context, workers int, rec *obs.Recorder) (release func(), err error) {
 	s := schedulerFor(ctx, workers)
 	if s == nil {
@@ -357,12 +319,10 @@ func (s *Scheduler) release() {
 
 // schedLane is one operation's job stream on the pool. cur points at
 // the stage currently submitted (nil between stages); it is guarded by
-// the scheduler mutex. remaining is the modeled work left in the
-// current stage, read lock-free by the weighted policy.
+// the scheduler mutex.
 type schedLane struct {
-	sch       *Scheduler
-	cur       *stageRun // guarded by sch.mu
-	remaining atomic.Int64
+	sch *Scheduler
+	cur *stageRun // guarded by sch.mu
 }
 
 // openLane registers a new lane and makes sure the pool is at width
@@ -399,7 +359,6 @@ func (s *Scheduler) closeLane(ln *schedLane) {
 
 // submit publishes sr as the lane's current stage and wakes the pool.
 func (ln *schedLane) submit(sr *stageRun) {
-	ln.remaining.Store(sr.cost)
 	ln.sch.mu.Lock()
 	ln.cur = sr
 	ln.sch.mu.Unlock()
@@ -430,13 +389,11 @@ func (ln *schedLane) retire(sr *stageRun) {
 // job has finished; the submitter blocks on fin, preserving the stage
 // barrier (and the safety of recycling pooled buffers after run).
 type stageRun struct {
-	p    *Pipeline
-	st   obs.Stage
-	arg  int32
-	n    int64 // total jobs
-	fn   func(int)
-	cost int64 // modeled total stage work (job count when unmodeled)
-	per  int64 // modeled work per job (cost / n, min 1)
+	p   *Pipeline
+	st  obs.Stage
+	arg int32
+	n   int64 // total jobs
+	fn  func(int)
 
 	state   atomic.Int64
 	running atomic.Int32 // pool executors inside fn (capped at p.workers-1)
@@ -451,21 +408,13 @@ const (
 	srFinShift    = 32
 )
 
-func newStageRun(p *Pipeline, st obs.Stage, arg int32, n int, cost int64, fn func(int)) *stageRun {
-	if cost < int64(n) {
-		cost = int64(n)
-	}
-	per := cost / int64(n)
-	if per < 1 {
-		per = 1
-	}
+func newStageRun(p *Pipeline, st obs.Stage, arg int32, n int, fn func(int)) *stageRun {
 	poolCap := int32(p.workers - 1)
 	if int64(poolCap) > int64(n) {
 		poolCap = int32(n)
 	}
 	return &stageRun{
-		p: p, st: st, arg: arg, n: int64(n), fn: fn,
-		cost: cost, per: per, cap: poolCap,
+		p: p, st: st, arg: arg, n: int64(n), fn: fn, cap: poolCap,
 		fin: make(chan struct{}),
 	}
 }
@@ -544,9 +493,9 @@ func (sr *stageRun) poolClaim() (i int, ok, retire bool) {
 // ---------------------------------------------------------------------------
 // Pool workers
 
-// worker is one pool goroutine: pick a runnable lane under the policy,
-// execute one job from it, repeat; sleep when nothing is runnable, exit
-// when no lanes are open. Workers never block on a lane's jobs — a
+// worker is one pool goroutine: pick the next runnable lane in
+// round-robin order, execute one job from it, repeat; sleep when
+// nothing is runnable, exit when no lanes are open. Workers never block on a lane's jobs — a
 // stopped pipeline drains by failed claims — so one operation's fault
 // or cancellation cannot wedge the pool.
 func (s *Scheduler) worker() {
@@ -568,7 +517,7 @@ func (s *Scheduler) worker() {
 					}
 					last = ln
 				}
-				s.exec(ln, sr)
+				s.exec(sr)
 				break
 			}
 			s.cond.Wait()
@@ -576,40 +525,13 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// pick selects the next runnable (lane, stage) under s.policy. Called
+// pick selects the next runnable (lane, stage), resuming after the
+// last served lane so pool capacity rotates over all runnable lanes —
+// every lane gets pool capacity in turn regardless of size. Called
 // with s.mu held. Lanes whose stage is exhausted are cleaned up in
 // passing. Returns (nil, nil) when nothing is runnable.
 func (s *Scheduler) pick() (*schedLane, *stageRun) {
 	n := len(s.lanes)
-	if n == 0 {
-		return nil, nil
-	}
-	if s.policy == SchedWeighted {
-		var best *schedLane
-		var bestRem int64
-		for _, ln := range s.lanes {
-			sr := ln.cur
-			if sr == nil {
-				continue
-			}
-			if sr.exhausted() || sr.running.Load() >= sr.cap {
-				if sr.exhausted() {
-					ln.cur = nil
-				}
-				continue
-			}
-			rem := ln.remaining.Load()
-			if best == nil || rem < bestRem {
-				best, bestRem = ln, rem
-			}
-		}
-		if best != nil {
-			return best, best.cur
-		}
-		return nil, nil
-	}
-	// Round-robin: resume after the last served lane so pool capacity
-	// rotates over all runnable lanes.
 	for k := 0; k < n; k++ {
 		idx := (s.rr + k) % n
 		ln := s.lanes[idx]
@@ -640,10 +562,10 @@ func execLane(l *obs.Lane) int {
 	return 0
 }
 
-// exec claims and runs one job from sr on behalf of ln's operation.
+// exec claims and runs one job from sr on behalf of its operation.
 // Spans and counters go to the operation's own recorder (sr.p.rec), so
 // per-op attribution survives cross-lane execution.
-func (s *Scheduler) exec(ln *schedLane, sr *stageRun) {
+func (s *Scheduler) exec(sr *stageRun) {
 	i, ok, _ := sr.poolClaim()
 	if !ok {
 		return
@@ -657,7 +579,6 @@ func (s *Scheduler) exec(ln *schedLane, sr *stageRun) {
 	sr.p.job(sr.st, sr.arg, execLane(ol), i, sr.fn)
 	sp.End()
 	ol.Release()
-	ln.remaining.Add(-sr.per)
 	sr.running.Add(-1)
 	sr.finishJob()
 	// Freeing the concurrency slot may make this stage runnable for a
@@ -671,9 +592,9 @@ func (s *Scheduler) exec(ln *schedLane, sr *stageRun) {
 // operation's lane, then have the submitting goroutine claim jobs like
 // any worker until the queue is empty, and finally wait for in-flight
 // pool jobs to finish (the stage barrier). The claim loop, job wrapper,
-// and stop semantics are identical to the per-call path.
-func (p *Pipeline) runShared(st obs.Stage, arg int32, n int, cost int64, fn func(int)) error {
-	sr := newStageRun(p, st, arg, n, cost, fn)
+// and stop semantics are identical to the inline path.
+func (p *Pipeline) runShared(st obs.Stage, arg int32, n int, fn func(int)) error {
+	sr := newStageRun(p, st, arg, n, fn)
 	p.lane.submit(sr)
 	rec := p.rec
 	ln := rec.Acquire()
@@ -687,7 +608,6 @@ func (p *Pipeline) runShared(st obs.Stage, arg int32, n int, cost int64, fn func
 		sp := ln.Begin(st, arg, int32(i))
 		p.job(st, arg, execLane(ln), i, fn)
 		sp.End()
-		p.lane.remaining.Add(-sr.per)
 		sr.finishJob()
 	}
 	ln.Release()

@@ -60,7 +60,7 @@ func EncodeTiled(img *imgmodel.Image, opt Options, workers int) (*Result, error)
 // into *FaultError, and every tile's pooled planes are released on
 // both paths.
 func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, workers int) (res *Result, err error) {
-	rec := obs.Current(ctx)
+	rec := obs.FromContext(ctx)
 	// SLO envelope; registered before containAPIFault (LIFO) so a
 	// contained panic is already an error when it observes the outcome.
 	var start time.Time
@@ -148,7 +148,7 @@ func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, w
 				j.Band.Orient, mode, j.Gain)
 			if constrained {
 				rd[bi] = LadderOf(blocks[bi])
-				rd[bi].ComputeHullObs(rec)
+				rd[bi].ComputeHull(rec)
 			}
 		}
 		sp.End()

@@ -22,13 +22,9 @@ var (
 
 // GetPlane returns a w×h integer plane from the pool (or a fresh one),
 // with unspecified contents inside and outside the live region. Pool
-// hit/miss counts and the plane's bytes go to the ambient recorder;
-// pipelines that carry an operation recorder use GetPlaneObs.
-func GetPlane(w, h int) *Plane { return GetPlaneObs(w, h, obs.Active()) }
-
-// GetPlaneObs is GetPlane counting against an explicit recorder
-// (nil-safe).
-func GetPlaneObs(w, h int, rec *obs.Recorder) *Plane {
+// hit/miss counts and the plane's bytes go to the operation recorder
+// rec (nil-safe).
+func GetPlane(w, h int, rec *obs.Recorder) *Plane {
 	s := padStride(w)
 	rec.Add(obs.CtrPlaneBytes, 4*int64(s*h))
 	p, _ := planePool.Get().(*Plane)
@@ -56,10 +52,7 @@ func PutPlane(p *Plane) {
 }
 
 // GetFPlane is the float analogue of GetPlane.
-func GetFPlane(w, h int) *FPlane { return GetFPlaneObs(w, h, obs.Active()) }
-
-// GetFPlaneObs is the float analogue of GetPlaneObs.
-func GetFPlaneObs(w, h int, rec *obs.Recorder) *FPlane {
+func GetFPlane(w, h int, rec *obs.Recorder) *FPlane {
 	s := padStride(w)
 	rec.Add(obs.CtrPlaneBytes, 4*int64(s*h))
 	p, _ := fplanePool.Get().(*FPlane)

@@ -2,10 +2,10 @@
 // per-worker spans, work-queue, coder and plane-memory counters, and
 // duration histograms. Each encode or decode records into the
 // Recorder of its own operation (WithOperation, resolved once per
-// operation by Current), else into the ambient recorder installed by
-// Enable; every recorder rolls into the process-wide aggregate
-// Registry that /metrics exports. Recording costs nearly nothing when
-// no recorder is present.
+// operation by FromContext), and every recorder rolls into the
+// process-wide aggregate Registry that /metrics exports. There is no
+// process-wide recorder: an operation without one records nothing,
+// and recording costs nearly nothing then.
 //
 // The paper's core evidence is an execution-time breakdown per pipeline
 // stage (Section 5, Table 2 / Figure 6) — it is how Kang & Bader found
@@ -22,10 +22,10 @@
 // renormalization chunks, bytes moved per DWT pass (the DMA-traffic
 // analogue), and buffer-pool hit/miss rates.
 //
-// Design rule (pinned by TestObsDisabledSpanAllocs and
-// BenchmarkEncodeObsOverhead): when no Recorder is active, every entry
-// point reduces to an atomic pointer load and a branch — no time reads,
-// no allocation, no atomic read-modify-write.
+// Design rule (pinned by TestDisabledPathIsAllocationFree and
+// BenchmarkEncodeObsOverhead): every entry point is safe on a nil
+// *Recorder or *Lane and reduces to a branch — no time reads, no
+// allocation, no atomic read-modify-write.
 package obs
 
 import (
@@ -81,7 +81,8 @@ func (s Stage) String() string {
 // spans (and so must not contribute to busy/concurrency accounting).
 func (s Stage) envelope() bool { return s == StageTile || s == StageEncode || s == StageDecode }
 
-// Counter identifies one global atomic counter.
+// Counter identifies one atomic counter, kept per recorder and
+// rolled into the aggregate registry.
 type Counter uint8
 
 // Counters. DWTBytesMoved is the Go analogue of the paper's DMA-traffic
@@ -159,62 +160,20 @@ func (c Counter) String() string {
 	return "counter?"
 }
 
-// active is the ambient process-wide sink — the recorder the
-// single-operation CLI path and legacy callers install with Enable.
-// nil means no ambient recorder; recording calls that fall back to it
-// are a load + branch. Concurrent operations should prefer
-// WithOperation (op.go), which scopes a recorder to one context and
-// wins over the ambient recorder in Current.
-var active atomic.Pointer[Recorder]
-
-// Active returns the ambient recorder, or nil when none is installed.
-func Active() *Recorder { return active.Load() }
-
-// Enabled reports whether an ambient recorder is installed.
-func Enabled() bool { return active.Load() != nil }
-
-// Enable installs a fresh recorder as the ambient sink and returns it.
-// Its totals roll into the aggregate registry when Close is called.
-func Enable() *Recorder {
-	r := NewRecorder()
-	active.Store(r)
-	return r
-}
-
-// Disable removes the ambient sink and returns the recorder that was
-// installed (nil if none). In-flight spans ending after Disable still
-// land in that recorder's lanes — lanes hold their recorder.
-func Disable() *Recorder {
-	r := active.Load()
-	active.Store(nil)
-	return r
-}
-
-// Count adds 1 to a counter on the active recorder (no-op when
-// disabled).
-func Count(c Counter) { active.Load().Add(c, 1) }
-
-// Add adds v to a counter on the active recorder (no-op when disabled).
-func Add(c Counter, v int64) { active.Load().Add(c, v) }
-
-// Acquire leases a lane from the active recorder; returns nil (a valid,
-// zero-cost lane) when disabled.
-func Acquire() *Lane { return active.Load().Acquire() }
-
 // maxSpansPerLane bounds one lane's span buffer; past it, new spans are
 // dropped and counted (a 3072²×3 encode records ~10k spans total, far
 // below the cap).
 const maxSpansPerLane = 1 << 15
 
 // Recorder owns the lanes, counters, and histograms of one
-// observability scope — one operation (WithOperation) or one ambient
-// session (Enable). All methods are nil-receiver safe so callers can
-// hold a possibly-nil *Recorder without branching.
+// observability scope — normally one operation (WithOperation). All
+// methods are nil-receiver safe so callers can hold a possibly-nil
+// *Recorder without branching.
 type Recorder struct {
 	epoch time.Time
 	ctx   context.Context // carries the runtime/trace task for regions
 
-	// Operation identity (empty for ambient recorders) and the
+	// Operation identity (empty for a bare NewRecorder) and the
 	// aggregate registry Close rolls this recorder's totals into.
 	trace string
 	kind  string
@@ -234,8 +193,8 @@ type Recorder struct {
 	endTask  func()
 }
 
-// NewRecorder returns a recorder that is not yet installed as the
-// ambient sink. Its totals roll into the aggregate registry on Close.
+// NewRecorder returns a recorder bound to no operation; WithOperation
+// builds on it. Its totals roll into the aggregate registry on Close.
 // When the Go execution tracer is running, the recorder opens a
 // runtime/trace task so stage regions group under one encode in
 // `go tool trace`.
@@ -248,7 +207,7 @@ func NewRecorder() *Recorder {
 	return r
 }
 
-// TraceID returns the operation trace ID ("" for ambient recorders).
+// TraceID returns the operation trace ID ("" outside an operation).
 func (r *Recorder) TraceID() string {
 	if r == nil {
 		return ""
@@ -256,7 +215,7 @@ func (r *Recorder) TraceID() string {
 	return r.trace
 }
 
-// Kind returns the operation kind label ("" for ambient recorders).
+// Kind returns the operation kind label ("" outside an operation).
 func (r *Recorder) Kind() string {
 	if r == nil {
 		return ""

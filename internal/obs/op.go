@@ -8,19 +8,19 @@ import (
 
 // Context-scoped operation recorders.
 //
-// PR 3's single global recorder smears every concurrent pipeline's
-// spans and counters together; an operation recorder scopes one
-// encode or decode: WithOperation mints a trace ID and a fresh
-// Recorder, hangs it on the context the codec already threads through
-// every stage (PR 5), and Finish rolls the operation's totals into
-// the process-wide aggregate Registry. Concurrent operations thus get
-// disjoint span sets, per-op counters, and distinct trace IDs, while
-// /metrics keeps serving coherent process totals.
+// An operation recorder scopes one encode or decode: WithOperation
+// mints a trace ID and a fresh Recorder, hangs it on the context the
+// codec already threads through every stage, and Finish rolls the
+// operation's totals into the process-wide aggregate Registry.
+// Concurrent operations thus get disjoint span sets, per-op counters,
+// and distinct trace IDs, while /metrics keeps serving coherent
+// process totals.
 //
-// Resolution order inside the codec is Current(ctx): the context's
-// operation recorder if one is attached, else the ambient recorder
-// installed by Enable (the single-operation CLI path), else nil —
-// and nil keeps the disabled fast path at one branch per hook.
+// The codec resolves the recorder once per operation with
+// FromContext(ctx): the context's operation recorder if one is
+// attached, else nil — and nil keeps the disabled fast path at one
+// branch per hook. The CLIs' -report, j2kload and the benchmarks all
+// record this way; there is no process-wide fallback.
 
 // opCtxKey carries the operation recorder in a context.
 type opCtxKey struct{}
@@ -104,24 +104,13 @@ func (o *Op) Duration() time.Duration {
 }
 
 // FromContext returns the operation recorder attached to ctx, or nil
-// when ctx carries none.
+// when ctx carries none. This is the single resolution point the codec
+// entry paths use; everything downstream receives the resolved
+// *Recorder and pays only a nil check per hook.
 func FromContext(ctx context.Context) *Recorder {
 	if ctx == nil {
 		return nil
 	}
 	r, _ := ctx.Value(opCtxKey{}).(*Recorder)
 	return r
-}
-
-// Current resolves the recorder an operation bound to ctx should
-// record into: the context's operation recorder when one is attached,
-// else the ambient process recorder (Enable), else nil. This is the
-// single resolution point the codec entry paths use; everything
-// downstream receives the resolved *Recorder and pays only a nil
-// check per hook.
-func Current(ctx context.Context) *Recorder {
-	if r := FromContext(ctx); r != nil {
-		return r
-	}
-	return active.Load()
 }

@@ -8,10 +8,10 @@ func benchAllocate(blocks []BlockRD, budget, workers int) []int {
 	for i := range blocks {
 		blocks[i].Hull = nil
 	}
-	return AllocateParallel(blocks, budget, workers)
+	return AllocateParallel(nil, blocks, budget, workers)
 }
 
 func benchHull(b *BlockRD) {
 	b.Hull = nil // price a fresh sweep, not the cache
-	b.ComputeHull()
+	b.ComputeHull(nil)
 }

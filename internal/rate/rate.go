@@ -39,16 +39,10 @@ type HullPoint struct {
 
 // ComputeHull computes and caches the block's convex hull. The result
 // is always non-nil, so allocation can tell "computed, empty" from
-// "not yet computed". Counts against the ambient recorder; the
-// parallel pipelines use ComputeHullObs with their operation recorder.
-func (b *BlockRD) ComputeHull() {
-	b.ComputeHullObs(obs.Active())
-}
-
-// ComputeHullObs is ComputeHull counting against an explicit recorder
-// (nil-safe), so per-operation recorders attribute hull work to the
-// operation that ran it.
-func (b *BlockRD) ComputeHullObs(rec *obs.Recorder) {
+// "not yet computed". The hull is counted against the operation
+// recorder rec (nil-safe), so hull work is attributed to the operation
+// that ran it.
+func (b *BlockRD) ComputeHull(rec *obs.Recorder) {
 	b.Hull = hull(*b)
 	rec.Add(obs.CtrHulls, 1)
 }
@@ -180,7 +174,7 @@ func parallelBlocks(n, workers int, fn func(w, lo, hi int)) {
 // distortion. A non-positive budget keeps nothing; a budget beyond the
 // total keeps everything.
 func Allocate(blocks []BlockRD, budget int) []int {
-	return AllocateParallel(blocks, budget, 1)
+	return AllocateParallel(nil, blocks, budget, 1)
 }
 
 // AllocateParallel is Allocate with the per-block work — hull
@@ -188,23 +182,16 @@ func Allocate(blocks []BlockRD, budget int) []int {
 // inside each λ probe — fanned out over the given number of workers.
 // The result is identical for every worker count: block selections are
 // written to disjoint indices and byte totals are integer sums reduced
-// in chunk order.
-func AllocateParallel(blocks []BlockRD, budget, workers int) []int {
-	return AllocateParallelObs(obs.Active(), blocks, budget, workers)
-}
-
-// AllocateParallelObs is AllocateParallel counting its hull builds and
-// λ probes against an explicit recorder (nil-safe), so a per-operation
-// recorder sees its own rate-control work rather than the process
-// ambient one.
-func AllocateParallelObs(rec *obs.Recorder, blocks []BlockRD, budget, workers int) []int {
+// in chunk order. Hull builds and λ probes are counted against the
+// operation recorder rec (nil-safe).
+func AllocateParallel(rec *obs.Recorder, blocks []BlockRD, budget, workers int) []int {
 	if workers < 1 {
 		workers = 1
 	}
 	parallelBlocks(len(blocks), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if blocks[i].Hull == nil {
-				blocks[i].ComputeHullObs(rec)
+				blocks[i].ComputeHull(rec)
 			}
 		}
 	})

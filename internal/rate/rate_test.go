@@ -211,7 +211,7 @@ func TestAllocateParallelMatchesSequential(t *testing.T) {
 	budget /= 7
 	want := Allocate(mk(), budget)
 	for _, w := range []int{0, 2, 3, 8, 33, 1000} {
-		got := AllocateParallel(mk(), budget, w)
+		got := AllocateParallel(nil, mk(), budget, w)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: block %d selects %d passes, sequential %d", w, i, got[i], want[i])
@@ -219,9 +219,9 @@ func TestAllocateParallelMatchesSequential(t *testing.T) {
 		}
 		pre := mk()
 		for i := range pre {
-			pre[i].ComputeHull()
+			pre[i].ComputeHull(nil)
 		}
-		got = AllocateParallel(pre, budget, w)
+		got = AllocateParallel(nil, pre, budget, w)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d precomputed hulls: block %d selects %d, want %d", w, i, got[i], want[i])

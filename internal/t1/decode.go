@@ -24,13 +24,16 @@ type decoder struct {
 // packet headers; segLens gives the per-pass segment lengths for
 // ModeTermAll blocks (ignored for ModeSingle). Decoding a truncated
 // pass set yields the standard midpoint reconstruction of whatever
-// precision each coefficient reached.
+// precision each coefficient reached. Decode records nothing: it is
+// DecodeObs with a nil recorder, kept with this exact signature for the
+// standalone block-coder callers (tests, the per-layer benchmark) that
+// run outside any operation.
 func Decode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS, numPasses int, data []byte, segLens []int) error {
-	return DecodeObs(obs.Active(), coef, w, h, stride, orient, mode, numBPS, numPasses, data, segLens)
+	return DecodeObs(nil, coef, w, h, stride, orient, mode, numBPS, numPasses, data, segLens)
 }
 
-// DecodeObs is Decode attributing coder-pool traffic to an explicit
-// recorder (nil-safe) instead of the process ambient one.
+// DecodeObs is Decode attributing coder-pool traffic to the operation
+// recorder rec (nil-safe).
 func DecodeObs(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS, numPasses int, data []byte, segLens []int) error {
 	if mode.IsHT() {
 		return decodeHT(rec, coef, w, h, stride, orient, numBPS, numPasses, data, segLens)
@@ -43,7 +46,7 @@ func DecodeObs(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Ori
 	if numBPS == 0 || numPasses == 0 {
 		return nil
 	}
-	c := newCoderObs(w, h, orient, rec)
+	c := newCoder(w, h, orient, rec)
 	defer c.release()
 	lp := getInt8(w * h)
 	defer putInt8(lp)

@@ -41,15 +41,17 @@ type encoder struct {
 // from coef with the given row stride. orient selects the context
 // tables, mode the termination style, and gain the subband synthesis
 // L2 norm used to weight distortion. The input is not modified.
-// Workload counters go to the ambient recorder; pipelines carrying an
-// operation recorder use EncodeObs.
+// Encode records nothing: it is EncodeObs with a nil recorder, kept
+// with this exact signature for the standalone block-coder callers
+// (tests, the per-layer benchmark, the Cell model) that run outside
+// any operation.
 func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain float64) *Block {
-	return EncodeObs(obs.Active(), coef, w, h, stride, orient, mode, gain)
+	return EncodeObs(nil, coef, w, h, stride, orient, mode, gain)
 }
 
-// EncodeObs is Encode recording against an explicit recorder
+// EncodeObs is Encode recording against the operation recorder rec
 // (nil-safe): block/scan/decision counters and coder-pool traffic are
-// attributed to rec instead of the process ambient recorder.
+// attributed to the operation that coded the block.
 func EncodeObs(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain float64) *Block {
 	if mode.IsHT() {
 		return encodeHT(rec, coef, w, h, stride, orient, mode, gain)
@@ -59,7 +61,7 @@ func EncodeObs(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Ori
 	if w <= 0 || h <= 0 {
 		panic("t1: empty code block")
 	}
-	c := newCoderObs(w, h, orient, rec)
+	c := newCoder(w, h, orient, rec)
 	defer c.release()
 
 	e := getEncoder()

@@ -65,7 +65,7 @@ func decodeHT(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orie
 	mel.init(cup[body-lenMEL-lenVLC : body-lenVLC])
 	vlc.init(cup[body-lenVLC : body])
 
-	c := newCoderObs(w, h, orient, rec)
+	c := newCoder(w, h, orient, rec)
 	defer c.release()
 	lpp := getInt8(w * h)
 	defer putInt8(lpp)

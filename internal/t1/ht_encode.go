@@ -41,7 +41,7 @@ func encodeHT(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orie
 	if w <= 0 || h <= 0 {
 		panic("t1: empty code block")
 	}
-	c := newCoderObs(w, h, orient, rec)
+	c := newCoder(w, h, orient, rec)
 	defer c.release()
 	e := getHTEncoder()
 	defer putHTEncoder(e)

@@ -65,7 +65,7 @@ func TestFlagWordsMatchOracle(t *testing.T) {
 		w := rng.Intn(20) + 1
 		h := rng.Intn(20) + 1
 		orient := dwt.Orient(rng.Intn(4))
-		c := newCoder(w, h, orient)
+		c := newCoder(w, h, orient, nil)
 		o := newOracle(w, h, orient)
 
 		check := func(step int) {

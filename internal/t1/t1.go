@@ -177,15 +177,9 @@ type coder struct {
 
 // newCoder draws scratch from the coder pool (pool.go); callers release
 // it when the block is done. Flags and magnitudes are zeroed, contexts
-// reset to their standard initial states. Pool counters go to the
-// ambient recorder; the Obs entry points use newCoderObs.
-func newCoder(w, h int, orient dwt.Orient) *coder {
-	return newCoderObs(w, h, orient, obs.Active())
-}
-
-// newCoderObs is newCoder counting pool hits/misses against an explicit
-// recorder (nil-safe).
-func newCoderObs(w, h int, orient dwt.Orient, rec *obs.Recorder) *coder {
+// reset to their standard initial states. Pool hits and misses are
+// counted against the operation recorder rec (nil-safe).
+func newCoder(w, h int, orient dwt.Orient, rec *obs.Recorder) *coder {
 	c, _ := coderPool.Get().(*coder)
 	if c == nil {
 		rec.Add(obs.CtrPoolCoderMiss, 1)

@@ -225,15 +225,15 @@ func EncodeParallelContext(ctx context.Context, img *Image, opt Options, workers
 
 // Scheduler is the process-wide worker pool that multiplexes the job
 // streams of concurrent encodes and decodes onto ~GOMAXPROCS
-// goroutines (DESIGN.md §12). Multi-worker operations use the default
-// scheduler automatically; bind an explicit one with WithScheduler to
-// isolate a tenant or shrink the pool, or opt out entirely with
-// WithPerCallPool.
+// goroutines (DESIGN.md §12). It is the only execution engine for
+// multi-worker operations, which use the default scheduler
+// automatically; bind an explicit one with WithScheduler to isolate a
+// tenant or shrink the pool. Single-worker operations run inline.
 type Scheduler = codec.Scheduler
 
-// SchedConfig configures a Scheduler: pool width, admission bounds
-// (MaxActive running + MaxQueue waiting before ErrOverloaded), and the
-// lane-selection policy (round-robin or least-remaining-work).
+// SchedConfig configures a Scheduler: pool width and admission bounds
+// (MaxActive running + MaxQueue waiting before ErrOverloaded). Pool
+// workers serve the open lanes round-robin.
 type SchedConfig = codec.SchedConfig
 
 // SchedStats is a snapshot of a scheduler's lanes, queue, and
@@ -250,16 +250,9 @@ var ErrOverloaded = codec.ErrOverloaded
 func NewScheduler(cfg SchedConfig) *Scheduler { return codec.NewScheduler(cfg) }
 
 // WithScheduler binds operations started under ctx to s (nil selects
-// per-call worker pools).
+// the process default scheduler).
 func WithScheduler(ctx context.Context, s *Scheduler) context.Context {
 	return codec.WithScheduler(ctx, s)
-}
-
-// WithPerCallPool opts operations under ctx out of the shared
-// scheduler: each operation spawns its own worker goroutines, the
-// pre-scheduler behavior. Benchmarks use it to A/B the two modes.
-func WithPerCallPool(ctx context.Context) context.Context {
-	return codec.WithPerCallPool(ctx)
 }
 
 // SchedulerStats snapshots the process-default shared scheduler.

@@ -1,4 +1,4 @@
-// Observability must be a pure observer: enabling the recorder must
+// Observability must be a pure observer: recording an operation must
 // not change a single output byte, and the disabled path must stay
 // allocation-free so leaving the instrumentation compiled into the hot
 // path costs nothing (pinned here and by BenchmarkEncodeObsOverhead).
@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,8 +17,8 @@ import (
 	"j2kcell/internal/obs"
 )
 
-// TestEncodeObsByteIdentical runs the determinism matrix with the
-// recorder enabled and compares against the obs-off stream: same
+// TestEncodeObsByteIdentical runs the determinism matrix under an
+// operation recorder and compares against the obs-off stream: same
 // bytes for {lossless, lossy} × {untiled, tiled} at every worker
 // count.
 func TestEncodeObsByteIdentical(t *testing.T) {
@@ -30,12 +31,9 @@ func TestEncodeObsByteIdentical(t *testing.T) {
 			}
 			for _, w := range workerCounts() {
 				t.Run(fmt.Sprintf("workers-%d", w), func(t *testing.T) {
-					rec := obs.Enable()
-					defer func() {
-						obs.Disable()
-						rec.Close()
-					}()
-					got, _, err := EncodeParallel(img, tc.opt, w)
+					ctx, op := obs.WithOperation(context.Background(), "encode")
+					got, _, err := EncodeParallelContext(ctx, img, tc.opt, w)
+					op.Finish()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -43,8 +41,8 @@ func TestEncodeObsByteIdentical(t *testing.T) {
 						t.Fatalf("observed stream differs from unobserved (%d vs %d bytes)",
 							len(got), len(ref))
 					}
-					if rec.Counter(obs.CtrT1Blocks) == 0 {
-						t.Fatal("recorder enabled but no Tier-1 blocks counted")
+					if op.Recorder().Counter(obs.CtrT1Blocks) == 0 {
+						t.Fatal("operation recorded but no Tier-1 blocks counted")
 					}
 				})
 			}
@@ -57,14 +55,13 @@ func TestEncodeObsByteIdentical(t *testing.T) {
 // to appear with plausible accounting.
 func TestEncodeObsReportHasStages(t *testing.T) {
 	img := TestImage(192, 160, 9)
-	rec := obs.Enable()
-	defer func() {
-		obs.Disable()
-		rec.Close()
-	}()
-	if _, _, err := EncodeParallel(img, Options{Lossless: true}, 2); err != nil {
+	ctx, op := obs.WithOperation(context.Background(), "encode")
+	_, _, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 2)
+	op.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
+	rec := op.Recorder()
 	spans := rec.TSpans()
 	rep := obs.BuildReport(spans, 2)
 	if rep.Total <= 0 || rep.Busy <= 0 {
@@ -89,23 +86,18 @@ func TestEncodeObsReportHasStages(t *testing.T) {
 }
 
 // TestEncodeObsDisabledHotPathAllocs: the instrumented work-queue loop
-// (Acquire/Claim/Begin/End/Release per job) must not allocate when no
-// recorder is installed. internal/obs pins the primitives; this pins
-// the encoder's actual call pattern end to end by diffing a warmed
-// encode's allocation count against the PR 2 steady-state bound, which
-// TestEncodeSteadyStateAllocs already enforces — here we just require
-// the obs-off and obs-off counts to be stable across runs.
+// (Acquire/Claim/Begin/End/Release per job) must not allocate when the
+// operation carries no recorder — the nil *Recorder every unobserved
+// pipeline holds.
 func TestEncodeObsDisabledHotPathAllocs(t *testing.T) {
-	if obs.Enabled() {
-		t.Fatal("recorder unexpectedly installed")
-	}
-	ln := obs.Acquire()
+	var rec *obs.Recorder
+	ln := rec.Acquire()
 	got := testing.AllocsPerRun(1000, func() {
 		ln.Claim()
 		sp := ln.Begin(obs.StageT1, 0, 0)
 		sp.End()
-		obs.Count(obs.CtrT1Blocks)
-		obs.Add(obs.CtrDWTBytesMoved, 4096)
+		rec.Add(obs.CtrT1Blocks, 1)
+		rec.Add(obs.CtrDWTBytesMoved, 4096)
 	})
 	ln.Release()
 	if got != 0 {
@@ -242,20 +234,16 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 }
 
 // TestEncodeObsDisabledContextPathAllocs pins the context-threaded
-// disabled path after the per-operation refactor: resolving the
-// recorder from a context with no operation attached, plus every
-// nil-recorder hook the codec calls (lane spans, counters, SLO
-// recording), must stay allocation-free.
+// disabled path: resolving the recorder from a context with no
+// operation attached, plus every nil-recorder hook the codec calls
+// (lane spans, counters, SLO recording), must stay allocation-free.
 func TestEncodeObsDisabledContextPathAllocs(t *testing.T) {
-	if obs.Enabled() {
-		t.Fatal("ambient recorder unexpectedly installed")
-	}
 	ctx := context.Background()
-	if obs.Current(ctx) != nil {
-		t.Fatal("Current on a plain context should be nil")
+	if obs.FromContext(ctx) != nil {
+		t.Fatal("FromContext on a plain context should be nil")
 	}
 	got := testing.AllocsPerRun(1000, func() {
-		rec := obs.Current(ctx)
+		rec := obs.FromContext(ctx)
 		ln := rec.Acquire()
 		ln.Claim()
 		sp := ln.Begin(obs.StageT1, 0, 0)
@@ -270,62 +258,18 @@ func TestEncodeObsDisabledContextPathAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeObsOverhead measures the whole-pipeline cost of the
-// instrumentation: `off` is the shipping default (atomic load + branch
-// per hook), `on` records every span and counter. The acceptance bar
-// for the disabled path is ≤2% against an uninstrumented build.
-func BenchmarkEncodeObsOverhead(b *testing.B) {
-	img := TestImage(512, 512, 11)
-	opt := Options{Lossless: true}
-	workers := runtime.GOMAXPROCS(0)
-	run := func(b *testing.B) {
-		b.SetBytes(int64(img.W * img.H * len(img.Comps)))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := EncodeParallel(img, opt, workers); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", run)
-	b.Run("on", func(b *testing.B) {
-		rec := obs.Enable()
-		defer func() {
-			obs.Disable()
-			rec.Close()
-		}()
-		run(b)
-	})
-	// per-op: a fresh context-scoped recorder per encode — the
-	// server-style cost (WithOperation + roll-up into the aggregate on
-	// Finish) rather than one long-lived ambient recorder.
-	b.Run("per-op", func(b *testing.B) {
-		b.SetBytes(int64(img.W * img.H * len(img.Comps)))
-		for i := 0; i < b.N; i++ {
-			ctx, op := obs.WithOperation(context.Background(), "bench")
-			if _, _, err := EncodeParallelContext(ctx, img, opt, workers); err != nil {
-				b.Fatal(err)
-			}
-			op.Finish()
-		}
-	})
-}
-
-// TestOperationSpansStayOffAmbientRecorder pins that a one-time cost is
-// charged to the operation that paid it: with an ambient recorder
-// installed, a lossy encode and a full and a reduced decode of its
-// output, each under its own operation, record every span and counter
-// on their own recorders and none on the ambient one.
-func TestOperationSpansStayOffAmbientRecorder(t *testing.T) {
+// TestOperationSpansStayOnTheirOperation checks where a codec call's
+// observations land. A lossy encode and a full and a DiscardLevels 3
+// decode, each under its own operation, record spans on that
+// operation's recorder. The same three calls on a plain context record
+// nothing anywhere: the aggregate registry's counters stay unchanged.
+func TestOperationSpansStayOnTheirOperation(t *testing.T) {
 	prev := obs.SwapAggregate(nil)
 	defer obs.SwapAggregate(prev)
-	ambient := obs.Enable()
-	defer func() {
-		obs.Disable()
-		ambient.Close()
-	}()
 	img := TestImage(160, 128, 11)
+	opt := Options{Rate: 0.2}
 	ctx, enc := obs.WithOperation(context.Background(), "encode")
-	data, _, err := EncodeParallelContext(ctx, img, Options{Rate: 0.2}, 2)
+	data, _, err := EncodeParallelContext(ctx, img, opt, 2)
 	enc.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +277,7 @@ func TestOperationSpansStayOffAmbientRecorder(t *testing.T) {
 	ops := []*obs.Op{enc}
 	for _, discard := range []int{0, 3} {
 		ctx, dec := obs.WithOperation(context.Background(), "decode")
-		_, err := DecodeWithContext(ctx, data, DecodeOptions{DiscardLevels: discard})
+		_, err := DecodeWithContext(ctx, data, DecodeOptions{DiscardLevels: discard, Workers: 2})
 		dec.Finish()
 		if err != nil {
 			t.Fatalf("discard %d: %v", discard, err)
@@ -345,10 +289,60 @@ func TestOperationSpansStayOffAmbientRecorder(t *testing.T) {
 			t.Fatalf("operation %d (%s) recorded no spans", i, op.Kind())
 		}
 	}
-	if spans := ambient.TSpans(); len(spans) != 0 {
-		t.Fatalf("ambient recorder received %d spans, first %q", len(spans), spans[0].Name)
+
+	ctx = context.Background()
+	before := obs.Aggregate().Counters()
+	plain, _, err := EncodeParallelContext(ctx, img, opt, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ctrs := ambient.Counters(); len(ctrs) != 0 {
-		t.Fatalf("ambient recorder received counters %v", ctrs)
+	if !bytes.Equal(plain, data) {
+		t.Fatal("unobserved encode differs from the observed one")
 	}
+	for _, discard := range []int{0, 3} {
+		if _, err := DecodeWithContext(ctx, data, DecodeOptions{DiscardLevels: discard, Workers: 2}); err != nil {
+			t.Fatalf("discard %d: %v", discard, err)
+		}
+	}
+	if after := obs.Aggregate().Counters(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("unobserved operations changed the aggregate counters:\n before %v\n after  %v", before, after)
+	}
+}
+
+// BenchmarkEncodeObsOverhead measures the whole-pipeline cost of the
+// instrumentation: `off` is the shipping default (a nil check per
+// hook), `on` records every span and counter of every encode into one
+// long-lived operation. The acceptance bar for the disabled path is
+// ≤2% against an uninstrumented build.
+func BenchmarkEncodeObsOverhead(b *testing.B) {
+	img := TestImage(512, 512, 11)
+	opt := Options{Lossless: true}
+	workers := runtime.GOMAXPROCS(0)
+	run := func(ctx context.Context, b *testing.B) {
+		b.SetBytes(int64(img.W * img.H * len(img.Comps)))
+		for i := 0; i < b.N; i++ {
+			if _, _, err := EncodeParallelContext(ctx, img, opt, workers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("off", func(b *testing.B) { run(context.Background(), b) })
+	b.Run("on", func(b *testing.B) {
+		ctx, op := obs.WithOperation(context.Background(), "bench")
+		defer op.Finish()
+		run(ctx, b)
+	})
+	// per-op: a fresh context-scoped recorder per encode — the
+	// server-style cost (WithOperation + roll-up into the aggregate on
+	// Finish) rather than one long-lived operation.
+	b.Run("per-op", func(b *testing.B) {
+		b.SetBytes(int64(img.W * img.H * len(img.Comps)))
+		for i := 0; i < b.N; i++ {
+			ctx, op := obs.WithOperation(context.Background(), "bench")
+			if _, _, err := EncodeParallelContext(ctx, img, opt, workers); err != nil {
+				b.Fatal(err)
+			}
+			op.Finish()
+		}
+	})
 }
