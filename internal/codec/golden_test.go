@@ -13,12 +13,16 @@ import (
 // is intentional (e.g. a codestream extension), run the test with -v:
 // it logs the new digests to paste in here.
 var goldenStreams = map[string]string{
-	"lossless-128":  "39bf683f8509187f6b24a14e81997912047990d47e2eb0bd6a68ab9d3593b42e",
-	"lossy-0.1-128": "2fb1f2e55161201fccef7da4c7de9630db012cf42a1ce09a6b5ffa29177f9b69",
-	"layers-128":    "40784986a01d266b6e66225ac4b872fc433556589a8d9640773e73251d7d0845",
-	"tiled-64-128":  "dc994f16538ca8b1067d8646bf7e0abaf2b58a3700a0908c50341eb03c14a4c9",
-	"rlcp-128":      "066ff6014518541cdf0debeec9c8d83c445317f3999ba1b64ee6bc4e87175346",
-	"grayscale-16b": "0d290ea86d3cbfb8402f1d2ddd8c1c5c492146c0c2d7b96c3838e77b2cb8bda4",
+	"lossless-128":        "39bf683f8509187f6b24a14e81997912047990d47e2eb0bd6a68ab9d3593b42e",
+	"lossy-0.1-128":       "2fb1f2e55161201fccef7da4c7de9630db012cf42a1ce09a6b5ffa29177f9b69",
+	"layers-128":          "40784986a01d266b6e66225ac4b872fc433556589a8d9640773e73251d7d0845",
+	"tiled-64-128":        "dc994f16538ca8b1067d8646bf7e0abaf2b58a3700a0908c50341eb03c14a4c9",
+	"tiled-layers-64-128": "003ae99f441811a494ba089123a1a6fcb43983090a121c040af3d2328d14ecb7",
+	"tiled-lossy-64-128":  "c79dc1554a5d4ba4acf3a93dbf189f2fbb48b89de6c3d4b1bd946d73e89cfbf2",
+	"tiled-ht-64-128":     "b767b37390abd9b911f16586de342f82f2c2284fe79ab1fb538ab287368def1c",
+	"tiled-onetile-128":   "39bf683f8509187f6b24a14e81997912047990d47e2eb0bd6a68ab9d3593b42e",
+	"rlcp-128":            "066ff6014518541cdf0debeec9c8d83c445317f3999ba1b64ee6bc4e87175346",
+	"grayscale-16b":       "0d290ea86d3cbfb8402f1d2ddd8c1c5c492146c0c2d7b96c3838e77b2cb8bda4",
 }
 
 func goldenImage() map[string]func() (*Result, error) {
@@ -41,6 +45,18 @@ func goldenImage() map[string]func() (*Result, error) {
 		},
 		"tiled-64-128": func() (*Result, error) {
 			return Encode(rgb, Options{Lossless: true, TileW: 64, TileH: 64})
+		},
+		"tiled-lossy-64-128": func() (*Result, error) {
+			return Encode(rgb, Options{Rate: 0.2, TileW: 64, TileH: 64})
+		},
+		"tiled-layers-64-128": func() (*Result, error) {
+			return Encode(rgb, Options{LayerRates: []float64{0.05, 0.2}, TileW: 64, TileH: 64})
+		},
+		"tiled-ht-64-128": func() (*Result, error) {
+			return Encode(rgb, Options{Lossless: true, HT: true, TileW: 64, TileH: 64})
+		},
+		"tiled-onetile-128": func() (*Result, error) {
+			return Encode(rgb, Options{Lossless: true, TileW: 128, TileH: 128})
 		},
 		"rlcp-128": func() (*Result, error) {
 			return Encode(rgb, Options{Rate: 0.2, Progression: RLCP})
