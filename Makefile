@@ -13,8 +13,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet also fails when any Go file in the tree is not gofmt-clean, so
+# make check (and CI) enforces formatting.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # J2K_BENCH_SCALE=8 divides the paper's 3072x3072 workload; lower it
 # for full-size runs.

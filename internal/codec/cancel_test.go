@@ -23,7 +23,7 @@ func TestPreCancelledContextReturnsImmediately(t *testing.T) {
 	if _, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("encode: got %v, want context.Canceled", err)
 	}
-	if _, err := EncodeTiledContext(ctx, img, Options{Lossless: true, TileW: 32, TileH: 32}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := EncodeParallelContext(ctx, img, Options{Lossless: true, TileW: 32, TileH: 32}, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("tiled encode: got %v, want context.Canceled", err)
 	}
 	if _, err := DecodeContext(ctx, res.Data); !errors.Is(err, context.Canceled) {
@@ -96,20 +96,11 @@ func TestCancelMidDecodeStopsPromptly(t *testing.T) {
 		{"tiled", Options{Lossless: true, TileW: 128, TileH: 128}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var data []byte
-			if tc.opt.TileW > 0 {
-				res, err := EncodeTiled(img, tc.opt, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data = res.Data
-			} else {
-				res, err := Encode(img, tc.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data = res.Data
+			res, err := EncodeParallel(img, tc.opt, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
+			data := res.Data
 			before := goroutineCount()
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)

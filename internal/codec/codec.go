@@ -287,8 +287,9 @@ type Stats struct {
 type Result struct {
 	Data  []byte
 	Stats Stats
-	// Internals exposed for the performance harness and the parallel
-	// encoders' verification paths.
+	// Internals exposed for the performance harness and the Cell
+	// model's verification paths. A tiled encode lists every tile's
+	// blocks in tile order; job coordinates are tile-local.
 	Jobs      []BlockJob
 	Blocks    []*t1.Block
 	Keep      []int   // final-layer cumulative pass selection

@@ -608,11 +608,11 @@ func TestTiledLossyGlobalRateControl(t *testing.T) {
 func TestTiledParallelMatchesSerial(t *testing.T) {
 	img := workload.Dial(200, 200, 2, 5)
 	opt := Options{Rate: 0.2, TileW: 64, TileH: 64}
-	a, err := EncodeTiled(img, opt, 1)
+	a, err := EncodeParallel(img, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EncodeTiled(img, opt, 4)
+	b, err := EncodeParallel(img, opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

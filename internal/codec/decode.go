@@ -273,7 +273,13 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	p := NewPipelineContext(ctx, dopt.Workers)
 	defer p.Close()
 	bands := dwt.Layout(tw, th, h.Levels)
+	// Packet parsing is the tile's sequential Tier-2 step; its span on a
+	// coordinator lane attributes it inside the decode envelope.
+	ln := p.rec.Acquire()
+	sp := ln.Begin(obs.StageT2, 0, 0)
 	tasks, err := parseTile(p, h, bands, body, dopt, dmg)
+	sp.End()
+	ln.Release()
 	if err != nil {
 		return nil, err
 	}

@@ -290,7 +290,7 @@ func TestDecodeMemoryScalesWithOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, err := EncodeTiled(img, Options{Lossless: true, TileW: 128, TileH: 128}, 1)
+	tiled, err := EncodeParallel(img, Options{Lossless: true, TileW: 128, TileH: 128}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

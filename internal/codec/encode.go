@@ -2,60 +2,18 @@ package codec
 
 import (
 	"context"
+	"fmt"
+	"time"
 
 	"j2kcell/internal/codestream"
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/obs"
 	"j2kcell/internal/rate"
+	"j2kcell/internal/simd"
 	"j2kcell/internal/t1"
 	"j2kcell/internal/t2"
 )
-
-// ForwardTransform runs level shift + component transform + DWT
-// (+ quantization on the lossy path) and returns the integer
-// coefficient planes ready for Tier-1. It is the single-worker
-// composition of the pipeline stages (pipeline.go), so it computes
-// exactly what the stripe-parallel path computes; the test oracles for
-// the parallel encoders compare against it. The returned planes come
-// from the imgmodel plane pool; callers that are done with them may
-// release them with imgmodel.PutPlane.
-func ForwardTransform(img *imgmodel.Image, opt Options) []*imgmodel.Plane {
-	planes, _ := ForwardTransformPipeline(NewPipeline(1), img, opt)
-	return planes
-}
-
-// ForwardTransformPipeline is ForwardTransform on a caller-supplied
-// pipeline, so a tiled encode can run each tile's transform under the
-// outer pipeline's context and fault latch. On fault or cancellation
-// it returns the pipeline's error with every pooled plane already
-// released.
-func ForwardTransformPipeline(p *Pipeline, img *imgmodel.Image, opt Options) ([]*imgmodel.Plane, error) {
-	if opt.Lossless {
-		planes := p.MCTInt(img, opt)
-		p.DWT53(planes, opt)
-		if err := p.Err(); err != nil {
-			for _, pl := range planes {
-				imgmodel.PutPlane(pl)
-			}
-			return nil, err
-		}
-		return planes, nil
-	}
-	fplanes := p.MCTFloat(img, opt)
-	p.DWT97(fplanes, opt)
-	planes := p.QuantizePlanes(fplanes, opt)
-	for _, fp := range fplanes {
-		imgmodel.PutFPlane(fp)
-	}
-	if err := p.Err(); err != nil {
-		for _, pl := range planes {
-			imgmodel.PutPlane(pl)
-		}
-		return nil, err
-	}
-	return planes, nil
-}
 
 // Encode compresses img into a complete JPEG2000 codestream. It is the
 // one-worker instance of the stage pipeline, so EncodeParallel is
@@ -70,25 +28,170 @@ func EncodeContext(ctx context.Context, img *imgmodel.Image, opt Options) (*Resu
 	return EncodeParallelContext(ctx, img, opt, 1)
 }
 
-// Finish performs everything downstream of Tier-1 — PCRD rate
-// allocation, Tier-2 packet assembly, and codestream framing — given
-// the coded blocks. The sequential encoder and the Cell-parallel
-// encoder both call this, which is what makes their outputs
-// byte-identical by construction.
-func Finish(img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block) *Result {
-	return finishRD(nil, img, opt, jobs, blocks, nil, 1)
+// EncodeParallel compresses img with the whole stage pipeline — MCT,
+// DWT, quantization fused into Tier-1 — spread across `workers`
+// goroutines, then one sequential finish (rate control, Tier-2,
+// framing). The output is byte-identical to Encode for every worker
+// count. Tiled options (TileW, TileH > 0) split the image into the
+// tiles of TileGrid; an untiled image is the one-tile grid.
+func EncodeParallel(img *imgmodel.Image, opt Options, workers int) (*Result, error) {
+	return EncodeParallelContext(context.Background(), img, opt, workers)
 }
 
-// finishRD is Finish for the parallel encoders, recording against the
-// operation recorder rec (nil-safe), with a pre-built R-D ladder set
-// (rd[i] for blocks[i]; nil means build it here) whose hulls may
-// already have been computed inside the Tier-1 block jobs, and a
-// worker count for the PCRD truncation scans. The result is
-// byte-identical to Finish for every combination — hulls and
-// selections are deterministic functions of the ladders.
-func finishRD(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD, workers int) *Result {
+// EncodeParallelContext is EncodeParallel bound to a context: the stage
+// work queues check ctx between job claims, so cancellation stops the
+// encode within a bounded number of outstanding jobs (at most one per
+// worker), releases all pooled buffers, and returns ctx.Err()
+// unwrapped. A panic inside any stage worker is contained into a
+// *FaultError instead of crossing the API.
+//
+// Every tile runs the same stage chain: MCTInt→DWT53→Tier1Int, or
+// MCTFloat→DWT97→Tier1Float with quantization fused into the block
+// jobs. A one-tile grid runs it at full width on the operation's
+// pipeline; a larger grid makes the tiles the parallel unit, each
+// running the chain inline on a single-worker pipeline inside its
+// `tile` job, as the tiled decoder does.
+func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options, workers int) (res *Result, err error) {
+	rec := obs.FromContext(ctx)
+	tiled := opt.TileW > 0 || opt.TileH > 0
+	// SLO envelope: registered before containAPIFault so it runs after
+	// it (defers are LIFO) and sees the error a contained panic was
+	// converted into. time.Now is only read when a recorder is
+	// attached, preserving the disabled fast path.
+	var start time.Time
+	if rec != nil {
+		start = time.Now()
+	}
+	defer func() {
+		if rec == nil {
+			return
+		}
+		if err != nil {
+			rec.OpFailed()
+			return
+		}
+		rec.OpDone(obs.ClassOf(false, !opt.Lossless, tiled, opt.HT), time.Since(start))
+	}()
+	defer containAPIFault(rec, "encode", &err)
+	if err := validateImage(img); err != nil {
+		return nil, err
+	}
+	if ctx != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+	}
+	// Record which simd kernel set serves this encode; the counter shows
+	// up in MetricsTable/expvar so a perf report can tell scalar, SSE2,
+	// and AVX2 runs apart.
+	if ctr, ok := obs.KernelCounter(simd.Kernel()); ok {
+		rec.Add(ctr, 1)
+	}
+	grid := []Rect{{W: img.W, H: img.H}}
+	if tiled {
+		if opt.TileW <= 0 || opt.TileH <= 0 {
+			return nil, fmt.Errorf("codec: both tile dimensions must be set")
+		}
+		grid = TileGrid(img.W, img.H, opt.TileW, opt.TileH)
+	}
+	// Defaults resolve once, at image size: every tile codes with the
+	// image's decomposition depth, which the header records.
 	opt = opt.WithDefaults(img.W, img.H)
-	w, h := img.W, img.H
+	// Admission control (DESIGN.md §12): under the shared scheduler the
+	// operation holds a slot for its whole life; a full admission queue
+	// fails fast with ErrOverloaded before any pipeline work starts.
+	release, aerr := admitOp(ctx, workers, rec)
+	if aerr != nil {
+		return nil, aerr
+	}
+	defer release()
+	p := NewPipelineContext(ctx, workers)
+	defer p.Close()
+	// Whole-encode envelope span on a coordinator lane: it defines the
+	// Amdahl report's total window (and pins lane 0, so worker lanes
+	// stay stable across stages).
+	ln := rec.Acquire()
+	total := ln.Begin(obs.StageEncode, 0, 0)
+	defer ln.Release()
+	defer total.End()
+	tiles := make([]tileCoded, len(grid))
+	if len(grid) == 1 {
+		tiles[0] = encodeTile(p, img, grid[0], opt)
+	} else {
+		p.run(obs.StageTile, 0, len(grid), func(i int) {
+			r := grid[i]
+			tp := NewPipelineContext(p.Context(), 1)
+			tiles[i] = encodeTile(tp, img.SubImage(r.X0, r.Y0, r.W, r.H), r, opt)
+			p.Fail(tp.Err())
+		})
+	}
+	// Stage workers never leave a fault or cancellation behind silently:
+	// the drain loops stop claiming, the pooled planes are already
+	// returned, and the first recorded error surfaces here before the
+	// sequential finish would touch possibly-missing blocks.
+	if perr := p.Err(); perr != nil {
+		return nil, perr
+	}
+	return finish(p.rec, img, opt, tiles, p.workers), nil
+}
+
+// tileCoded is one tile's Tier-1 output awaiting global rate control.
+type tileCoded struct {
+	rect   Rect
+	jobs   []BlockJob
+	blocks []*t1.Block
+	rd     []rate.BlockRD // ladders + hulls, rate-constrained encodes only
+}
+
+// encodeTile runs the stage chain over one tile image on p and returns
+// its coded blocks, releasing every pooled plane on the way out. On a
+// fault or cancellation the blocks are incomplete and p.Err() is set.
+// Rate-constrained encodes build each block's R-D ladder and convex
+// hull inside its Tier-1 job, leaving only the λ search sequential
+// (and even its truncation scans fan out inside finish).
+func encodeTile(p *Pipeline, img *imgmodel.Image, r Rect, opt Options) tileCoded {
+	t := tileCoded{rect: r}
+	_, t.jobs = PlanBlocks(img.W, img.H, len(img.Comps), opt)
+	if !opt.Lossless && opt.layerRates() != nil {
+		t.rd = make([]rate.BlockRD, len(t.jobs))
+	}
+	if opt.Lossless {
+		planes := p.MCTInt(img, opt)
+		p.DWT53(planes, opt)
+		t.blocks = p.Tier1Int(planes, t.jobs, opt.Mode(), t.rd)
+		for _, pl := range planes {
+			imgmodel.PutPlane(pl)
+		}
+	} else {
+		fplanes := p.MCTFloat(img, opt)
+		p.DWT97(fplanes, opt)
+		t.blocks = p.Tier1Float(fplanes, t.jobs, opt, t.rd)
+		for _, fp := range fplanes {
+			imgmodel.PutFPlane(fp)
+		}
+	}
+	return t
+}
+
+// Finish performs everything downstream of Tier-1 — PCRD rate
+// allocation, Tier-2 packet assembly, and codestream framing — given
+// the coded blocks of an untiled image. It is the one-tile call of the
+// encoder's own finish, which is what makes the Cell model's output
+// byte-identical to EncodeParallel by construction.
+func Finish(img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block) *Result {
+	one := []tileCoded{{rect: Rect{W: img.W, H: img.H}, jobs: jobs, blocks: blocks}}
+	return finish(nil, img, opt.WithDefaults(img.W, img.H), one, 1)
+}
+
+// finish turns coded tiles into the codestream: the global M_b table,
+// PCRD rate allocation across every tile's blocks (with the
+// header-overhead retry loop), per-tile packet assembly, and framing
+// with one tile-part per tile. It records against the operation
+// recorder rec (nil-safe); tiles whose ladders were not built inside
+// Tier-1 get them here, and workers fans out the PCRD truncation
+// scans. The result is byte-identical for every combination — hulls
+// and selections are deterministic functions of the ladders.
+func finish(rec *obs.Recorder, img *imgmodel.Image, opt Options, tiles []tileCoded, workers int) *Result {
 	ncomp := len(img.Comps)
 	mode := opt.Mode()
 
@@ -98,30 +201,56 @@ func finishRD(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJ
 	ln := rec.Acquire()
 	defer ln.Release()
 
-	build := func(keeps [][]int) ([]byte, []byte) {
+	// Rate control sees every tile's blocks at once; bounds[i] is where
+	// tile i's blocks start.
+	var jobs []BlockJob
+	var blocks []*t1.Block
+	var rd []rate.BlockRD
+	bounds := make([]int, 0, len(tiles)+1)
+	for _, t := range tiles {
+		bounds = append(bounds, len(blocks))
+		jobs = append(jobs, t.jobs...)
+		blocks = append(blocks, t.blocks...)
+		rd = append(rd, t.rd...)
+	}
+	bounds = append(bounds, len(blocks))
+	// The header carries one M_b table, the maximum over all tiles.
+	mb := ComputeMb(ncomp, 3*opt.Levels+1, jobs, blocks)
+
+	build := func(keeps [][]int) ([]byte, int) {
 		sp := ln.Begin(obs.StageT2, 0, 0)
-		body, mb := AssemblePackets(w, h, ncomp, opt, jobs, blocks, keeps, nil)
-		sp.End()
+		bodies := make([][]byte, len(tiles))
+		bodyBytes := 0
+		for i, t := range tiles {
+			tileKeeps := make([][]int, len(keeps))
+			for l := range keeps {
+				tileKeeps[l] = keeps[l][bounds[i]:bounds[i+1]]
+			}
+			bodies[i] = AssemblePackets(t.rect.W, t.rect.H, ncomp, opt, t.jobs, t.blocks, tileKeeps, mb)
+			bodyBytes += len(bodies[i])
+		}
 		head := &codestream.Header{
-			W: w, H: h, NComp: ncomp, Depth: img.Depth,
+			W: img.W, H: img.H, NComp: ncomp, Depth: img.Depth,
 			Levels: opt.Levels, CBW: opt.CBW, CBH: opt.CBH,
+			TileW: opt.TileW, TileH: opt.TileH,
 			Layers: len(keeps), Progression: int(opt.Progression),
 			SOPMarkers: opt.Resilience,
 			Lossless:   opt.Lossless, UseMCT: ncomp == 3,
 			TermAll: mode.Base() == t1.ModeTermAll, SegSym: mode.SegSym(),
 			HT: opt.HT, BaseDelta: opt.BaseDelta, Mb: mb,
 		}
-		sp = ln.Begin(obs.StageFrame, 0, 0)
-		data := codestream.Encode(head, body)
 		sp.End()
-		return data, body
+		sp = ln.Begin(obs.StageFrame, 0, 0)
+		data := codestream.EncodeTiles(head, bodies)
+		sp.End()
+		return data, bodyBytes
 	}
 
 	rates := opt.layerRates()
 	keeps := [][]int{FullKeep(blocks)}
 	constrained := !opt.Lossless && rates != nil
 	if constrained {
-		if rd == nil {
+		if len(rd) != len(blocks) {
 			sp := ln.Begin(obs.StageHull, 0, 0)
 			rd = BuildLadders(blocks)
 			sp.End()
@@ -133,24 +262,24 @@ func finishRD(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJ
 		keeps = allocateLayersRD(rec, rd, img, opt, rates, 0, workers)
 		sp.End()
 	}
-	data, body := build(keeps)
+	data, bodyBytes := build(keeps)
 	if constrained {
 		// Header sizes are only known after assembly; if the initial
 		// overhead estimate was short, shave the body budget and retry.
-		target := int(rates[len(rates)-1] * float64(w*h*ncomp*img.Depth/8))
+		target := int(rates[len(rates)-1] * float64(img.W*img.H*ncomp*img.Depth/8))
 		retry := int32(1)
 		for extra := 16; len(data) > target && extra < target; extra *= 2 {
 			sp := ln.Begin(obs.StageRate, 0, retry)
 			keeps = allocateLayersRD(rec, rd, img, opt, rates, len(data)-target+extra, workers)
 			sp.End()
 			retry++
-			data, body = build(keeps)
+			data, bodyBytes = build(keeps)
 		}
 	}
 
 	keep := keeps[len(keeps)-1]
 	res := &Result{Data: data, Jobs: jobs, Blocks: blocks, Keep: keep, LayerKeep: keeps}
-	res.Stats = buildStats(img, jobs, blocks, keep, len(data)-len(body), len(body))
+	res.Stats = buildStats(img, jobs, blocks, keep, len(data)-bodyBytes, bodyBytes)
 	return res
 }
 
@@ -269,39 +398,14 @@ func ComputeMb(ncomp, nbands int, jobs []BlockJob, blocks []*t1.Block) [][]int {
 	return mb
 }
 
-// MergeMb folds b into a element-wise (maximum), for the global M_b
-// table of a tiled stream.
-func MergeMb(a, b [][]int) [][]int {
-	if a == nil {
-		out := make([][]int, len(b))
-		for i := range b {
-			out[i] = append([]int(nil), b[i]...)
-		}
-		return out
-	}
-	for c := range a {
-		for i := range a[c] {
-			if b[c][i] > a[c][i] {
-				a[c][i] = b[c][i]
-			}
-		}
-	}
-	return a
-}
-
-// AssemblePackets builds the packet body for one tile in progression
-// order and returns the M_b table used. keeps holds one cumulative
-// pass selection per quality layer; mbIn, when non-nil, supplies a
-// precomputed (global) M_b table — required for multi-tile streams,
-// whose header carries a single table.
-func AssemblePackets(w, h, ncomp int, opt Options, jobs []BlockJob, blocks []*t1.Block, keeps [][]int, mbIn [][]int) ([]byte, [][]int) {
+// AssemblePackets builds the packet body for one w×h tile in
+// progression order. keeps holds one cumulative pass selection per
+// quality layer; mb is the stream's M_b table (ComputeMb over every
+// tile's blocks), which the header carries once for all tiles.
+func AssemblePackets(w, h, ncomp int, opt Options, jobs []BlockJob, blocks []*t1.Block, keeps [][]int, mb [][]int) []byte {
 	bands := dwt.Layout(w, h, opt.Levels)
 	nlayers := len(keeps)
 	finalKeep := keeps[nlayers-1]
-	mb := mbIn
-	if mb == nil {
-		mb = ComputeMb(ncomp, len(bands), jobs, blocks)
-	}
 
 	// Group jobs by (comp, band) for precinct filling.
 	type key struct{ c, b int }
@@ -391,7 +495,7 @@ func AssemblePackets(w, h, ncomp int, opt Options, jobs []BlockJob, blocks []*t1
 		}
 		body = append(body, t2.EncodePacketEPH(pkt, l, opt.Resilience)...)
 	}
-	return body, mb
+	return body
 }
 
 // appendSOP emits the 6-byte start-of-packet marker segment.

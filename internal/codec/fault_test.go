@@ -65,7 +65,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiledSrc, err := EncodeTiled(img, tiledOpt, 1)
+	tiledSrc, err := EncodeParallel(img, tiledOpt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 		},
 		{
 			name:   "encode-tiled",
-			stages: []string{"tile", "mct", "dwt-v", "dwt-h", "quant"},
+			stages: []string{"tile", "mct", "dwt-v", "dwt-h", "t1"},
 			run: func(w int) error {
 				_, err := EncodeParallel(img, tiledOpt, w)
 				return err
@@ -295,7 +295,7 @@ func TestBestEffortDemotesIMCTFaultToTile(t *testing.T) {
 	img := workload.Dial(256, 256, 5, 4)
 	// 128-row tiles are two imct stripes each, so the second imct entry
 	// can fault a tile whose first stripe is already in the output.
-	res, err := EncodeTiled(img, Options{Lossless: true, TileW: 128, TileH: 128}, 1)
+	res, err := EncodeParallel(img, Options{Lossless: true, TileW: 128, TileH: 128}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,8 @@ package codec
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"j2kcell/internal/decomp"
 	"j2kcell/internal/dwt"
@@ -15,7 +13,6 @@ import (
 	"j2kcell/internal/obs"
 	"j2kcell/internal/quant"
 	"j2kcell/internal/rate"
-	"j2kcell/internal/simd"
 	"j2kcell/internal/t1"
 )
 
@@ -492,143 +489,4 @@ func (p *Pipeline) Tier1Float(fplanes []*imgmodel.FPlane, jobs []BlockJob, opt O
 		}
 	})
 	return blocks
-}
-
-// QuantizePlanes materializes the quantized integer planes from the
-// transformed float planes, band-row-parallel — used by the sequential
-// ForwardTransform oracle (the parallel path fuses quantization into
-// Tier1Float instead). Returned planes come from the plane pool.
-func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*imgmodel.Plane {
-	w, h := fplanes[0].W, fplanes[0].H
-	bands := dwt.Layout(w, h, opt.Levels)
-	planes := make([]*imgmodel.Plane, len(fplanes))
-	for c := range planes {
-		planes[c] = imgmodel.GetPlane(w, h, p.rec)
-	}
-	// One job per (component, band); the subbands tile the plane, so
-	// every live sample is written.
-	p.run(obs.StageQuant, 0, len(planes)*len(bands), func(i int) {
-		c, b := i/len(bands), bands[i%len(bands)]
-		if b.W == 0 || b.H == 0 {
-			return
-		}
-		pl, fp := planes[c], fplanes[c]
-		delta := float32(quant.StepFor(opt.BaseDelta, opt.Levels, b.Orient, b.Level))
-		for y := b.Y0; y < b.Y0+b.H; y++ {
-			quant.QuantizeRow(pl.Data[y*pl.Stride+b.X0:][:b.W], fp.Data[y*fp.Stride+b.X0:][:b.W], delta)
-		}
-	})
-	return planes
-}
-
-// EncodeParallel compresses img with the whole pipeline — MCT, DWT,
-// quantization, Tier-1 — spread across `workers` goroutines, then the
-// shared sequential Finish (rate control, Tier-2, framing). The output
-// is byte-identical to Encode for every worker count. Tiled streams
-// parallelize across tiles instead (EncodeTiled).
-func EncodeParallel(img *imgmodel.Image, opt Options, workers int) (*Result, error) {
-	return EncodeParallelContext(context.Background(), img, opt, workers)
-}
-
-// EncodeParallelContext is EncodeParallel bound to a context: the stage
-// work queues check ctx between job claims, so cancellation stops the
-// encode within a bounded number of outstanding jobs (at most one per
-// worker), releases all pooled buffers, and returns ctx.Err()
-// unwrapped. A panic inside any stage worker is contained into a
-// *FaultError instead of crossing the API.
-func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options, workers int) (res *Result, err error) {
-	rec := obs.FromContext(ctx)
-	// SLO envelope: registered before containAPIFault so it runs after
-	// it (defers are LIFO) and sees the error a contained panic was
-	// converted into. The tiled path delegates to EncodeTiledContext,
-	// which records its own (tiled-class) observation — skipSLO keeps
-	// the operation from being counted twice. time.Now is only read
-	// when a recorder is attached, preserving the disabled fast path.
-	var start time.Time
-	skipSLO := rec == nil
-	if rec != nil {
-		start = time.Now()
-	}
-	defer func() {
-		if skipSLO {
-			return
-		}
-		if err != nil {
-			rec.OpFailed()
-			return
-		}
-		rec.OpDone(obs.ClassOf(false, !opt.Lossless, false, opt.HT), time.Since(start))
-	}()
-	defer containAPIFault(rec, "encode", &err)
-	if err := validateImage(img); err != nil {
-		return nil, err
-	}
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-	}
-	// Record which simd kernel set serves this encode; the counter shows
-	// up in MetricsTable/expvar so a perf report can tell scalar, SSE2,
-	// and AVX2 runs apart.
-	if ctr, ok := obs.KernelCounter(simd.Kernel()); ok {
-		rec.Add(ctr, 1)
-	}
-	if opt.TileW > 0 || opt.TileH > 0 {
-		if opt.TileW <= 0 || opt.TileH <= 0 {
-			return nil, fmt.Errorf("codec: both tile dimensions must be set")
-		}
-		skipSLO = true
-		return EncodeTiledContext(ctx, img, opt, workers)
-	}
-	opt = opt.WithDefaults(img.W, img.H)
-	// Admission control (DESIGN.md §12): under the shared scheduler the
-	// operation holds a slot for its whole life; a full admission queue
-	// fails fast with ErrOverloaded before any pipeline work starts.
-	release, aerr := admitOp(ctx, workers, rec)
-	if aerr != nil {
-		return nil, aerr
-	}
-	defer release()
-	p := NewPipelineContext(ctx, workers)
-	defer p.Close()
-	// Whole-encode envelope span on a coordinator lane: it defines the
-	// Amdahl report's total window (and pins lane 0, so worker lanes
-	// stay stable across stages).
-	ln := rec.Acquire()
-	total := ln.Begin(obs.StageEncode, 0, 0)
-	defer ln.Release()
-	defer total.End()
-	_, jobs := PlanBlocks(img.W, img.H, len(img.Comps), opt)
-	// Rate-constrained encodes build each block's R-D ladder and convex
-	// hull inside its Tier-1 job, leaving only the λ search sequential
-	// (and even its truncation scans fan out inside finishRD).
-	var rd []rate.BlockRD
-	if !opt.Lossless && opt.layerRates() != nil {
-		rd = make([]rate.BlockRD, len(jobs))
-	}
-	var blocks []*t1.Block
-	if opt.Lossless {
-		planes := p.MCTInt(img, opt)
-		p.DWT53(planes, opt)
-		blocks = p.Tier1Int(planes, jobs, opt.Mode(), rd)
-		for _, pl := range planes {
-			imgmodel.PutPlane(pl)
-		}
-	} else {
-		fplanes := p.MCTFloat(img, opt)
-		p.DWT97(fplanes, opt)
-		blocks = p.Tier1Float(fplanes, jobs, opt, rd)
-		for _, fp := range fplanes {
-			imgmodel.PutFPlane(fp)
-		}
-	}
-	// Stage workers never leave a fault or cancellation behind silently:
-	// the drain loops stop claiming, the pooled planes above are already
-	// returned, and the first recorded error surfaces here before the
-	// sequential finish would touch possibly-missing blocks.
-	if perr := p.Err(); perr != nil {
-		return nil, perr
-	}
-	return finishRD(p.rec, img, opt, jobs, blocks, rd, p.workers), nil
 }

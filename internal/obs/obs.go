@@ -44,7 +44,6 @@ const (
 	StageMCT      Stage = iota // level shift + component transform (row stripes)
 	StageDWTVert               // vertical lifting of one level (column groups)
 	StageDWTHorz               // horizontal filtering of one level (row stripes)
-	StageQuant                 // standalone quantization (oracle path)
 	StageT1                    // fused quantize + Tier-1 block job
 	StageHull                  // R-D ladder + convex hull (when not fused into T1)
 	StageRate                  // PCRD λ search (truncation-scan probes)
@@ -64,7 +63,7 @@ const (
 )
 
 var stageNames = [numStages]string{
-	"mct", "dwt-v", "dwt-h", "quant", "t1", "hull",
+	"mct", "dwt-v", "dwt-h", "t1", "hull",
 	"rate", "t2", "frame", "tile", "encode",
 	"zero", "deq", "idwt-v", "idwt-h", "imct", "decode",
 	"t1ht", "admit",

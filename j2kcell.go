@@ -197,11 +197,12 @@ func DecodeParallel(data []byte, workers int) (*Image, error) {
 // EncodeParallel compresses img with every pipeline stage — merged
 // level shift + component transform, multi-level DWT, quantization,
 // and Tier-1 block coding — spread across `workers` goroutines
-// (workers <= 0 selects GOMAXPROCS). Untiled images parallelize
-// within each stage (row stripes and cache-line column groups, with
-// quantization fused into the Tier-1 work queue on the lossy path);
-// tiled images parallelize across tiles. The output is byte-identical
-// to Encode for every worker count.
+// (workers <= 0 selects GOMAXPROCS). Every tile runs the same stage
+// chain, with quantization fused into the Tier-1 work queue on the
+// lossy path; an untiled image is the one-tile grid. A one-tile grid
+// parallelizes within each stage (row stripes and cache-line column
+// groups); a grid of several tiles parallelizes across tiles. The
+// output is byte-identical to Encode for every worker count.
 func EncodeParallel(img *Image, opt Options, workers int) ([]byte, *Stats, error) {
 	return EncodeParallelContext(context.Background(), img, opt, workers)
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -50,38 +49,89 @@ func TestEncodeObsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEncodeObsReportHasStages checks the full loop: encode under a
-// recorder, build the Amdahl report, and require the pipeline stages
-// to appear with plausible accounting.
+// TestEncodeObsReportHasStages checks the full loop: run an operation
+// under a recorder, build the Amdahl report, and require its stages to
+// appear with plausible accounting. A tiled lossy encode runs the same
+// chain per tile, quantizing inside the Tier-1 jobs; a decode
+// attributes its packet parsing to t2.
 func TestEncodeObsReportHasStages(t *testing.T) {
 	img := TestImage(192, 160, 9)
-	ctx, op := obs.WithOperation(context.Background(), "encode")
-	_, _, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 2)
-	op.Finish()
+	stream, _, err := Encode(img, Options{Lossless: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := op.Recorder()
-	spans := rec.TSpans()
-	rep := obs.BuildReport(spans, 2)
-	if rep.Total <= 0 || rep.Busy <= 0 {
-		t.Fatalf("degenerate report: %+v", rep)
-	}
-	if rep.SerialFrac < 0 || rep.SerialFrac > 1 {
-		t.Fatalf("serial fraction %v out of [0,1]", rep.SerialFrac)
-	}
-	table := rep.Table()
-	for _, stage := range []string{"mct", "dwt-v", "dwt-h", "t1", "t2", "frame"} {
-		if !strings.Contains(table, stage) {
-			t.Fatalf("report table missing stage %q:\n%s", stage, table)
+	encode := func(opt Options) func(context.Context) error {
+		return func(ctx context.Context) error {
+			_, _, err := EncodeParallelContext(ctx, img, opt, 2)
+			return err
 		}
 	}
-	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, spans, rec.Counters()); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("empty Chrome trace")
+	for _, tc := range []struct {
+		name   string
+		run    func(context.Context) error
+		want   []string
+		absent []string
+	}{
+		{
+			name: "encode-lossless",
+			run:  encode(Options{Lossless: true}),
+			want: []string{"mct", "dwt-v", "dwt-h", "t1", "t2", "frame"},
+		},
+		{
+			name:   "encode-lossy-4-tiles",
+			run:    encode(Options{Rate: 0.1, TileW: 96, TileH: 80}),
+			want:   []string{"tile", "mct", "dwt-v", "dwt-h", "t1", "rate", "t2", "frame"},
+			absent: []string{"quant"},
+		},
+		{
+			name: "decode-lossless",
+			run: func(ctx context.Context) error {
+				_, err := DecodeWithContext(ctx, stream, DecodeOptions{Workers: 2})
+				return err
+			},
+			want: []string{"t2", "t1", "idwt-v", "idwt-h", "imct"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, op := obs.WithOperation(context.Background(), tc.name)
+			err := tc.run(ctx)
+			op.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := op.Recorder()
+			spans := rec.TSpans()
+			rep := obs.BuildReport(spans, 2)
+			if rep.Total <= 0 || rep.Busy <= 0 {
+				t.Fatalf("degenerate report: %+v", rep)
+			}
+			if rep.SerialFrac < 0 || rep.SerialFrac > 1 {
+				t.Fatalf("serial fraction %v out of [0,1]", rep.SerialFrac)
+			}
+			// Envelope stages (tile) enclose other spans and have no
+			// report row, so presence is checked on the spans.
+			seen := map[string]bool{}
+			for _, s := range spans {
+				seen[s.RowName()] = true
+			}
+			for _, stage := range tc.want {
+				if !seen[stage] {
+					t.Errorf("no %q spans; report:\n%s", stage, rep.Table())
+				}
+			}
+			for _, stage := range tc.absent {
+				if seen[stage] {
+					t.Errorf("unexpected %q spans; report:\n%s", stage, rep.Table())
+				}
+			}
+			var buf bytes.Buffer
+			if err := obs.WriteChromeTrace(&buf, spans, rec.Counters()); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() == 0 {
+				t.Fatal("empty Chrome trace")
+			}
+		})
 	}
 }
 
